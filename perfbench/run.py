@@ -15,7 +15,9 @@ starts the next job when the previous one has ended:
 - ``all``: each of the above in turn, for reading by people.
 
 With ``--trace 0`` the run makes as many whole passes over the jobs as
-fit into about S seconds, and prints the end-to-end metrics.  With ``--trace 1`` it makes one fixed pass over the
+fit into about S seconds, and prints the end-to-end metrics; times are
+wall times rescaled to a reference speed measured between jobs (see
+``calib.py``).  With ``--trace 1`` it makes one fixed pass over the
 jobs instead, each job once untraced and once under the outside-in
 tracer, so that every count repeats exactly for a seed; it prints the
 per-layer metrics and ``trace.overhead`` and leaves the spans in
@@ -40,6 +42,7 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
 
+import calib  # noqa: E402
 import corpus  # noqa: E402
 import tracer  # noqa: E402
 
@@ -124,7 +127,9 @@ def spawn(ctx, argv, timeout=JOB_TIMEOUT):
 
 
 def setup_times(ctx, argv):
-    return [spawn(ctx, argv).wall for _ in range(SETUP_SAMPLES)]
+    """Scaled wall times of SETUP_SAMPLES set-ups (see calib.py)."""
+    ref = calib.Reference()
+    return [spawn(ctx, argv).wall * ref.factor() for _ in range(SETUP_SAMPLES)]
 
 
 # -- the CLI workloads -----------------------------------------------------------
@@ -202,11 +207,13 @@ def cli_timed(ctx, workload, seed, seconds):
     probe = [sys.executable, "-c", "import sys; sys.path.insert(0, %r); import windowalg.cli" % ctx.src]
     setup = setup_times(ctx, probe)
     pinned = load_digests()[workload] if seed == DEFAULT_SEED else None
-    seen, walls, rss, problems = {}, [], [], []
+    seen, times, walls, rss, problems = {}, [], [], [], []
+    ref = calib.Reference()
 
     def one_pass():
         for job in jobs:
             res = spawn(ctx, cli_argv(ctx, job, paths[job.job_id]))
+            times.append(res.wall * ref.factor())
             walls.append(res.wall)
             rss.append(res.rss_kb)
             problem = check_cli(job, res, seen, pinned)
@@ -214,12 +221,14 @@ def cli_timed(ctx, workload, seed, seconds):
                 problems.append("%s: %s" % (job.job_id, problem))
 
     # whole passes, so that every run holds the same mix of jobs; the first
-    # pass sets how many fit into the requested time
+    # pass, reference loops included, sets how many fit into the requested time
+    t0 = time.perf_counter()
     one_pass()
-    for _ in range(max(1, round(seconds / sum(walls))) - 1):
+    for _ in range(max(1, round(seconds / (time.perf_counter() - t0))) - 1):
         one_pass()
     refused = run_refusals(ctx, refusals, paths)
-    return summarize(setup, walls, len(jobs), max(rss) / 1024.0, problems), refused
+    summary = summarize(setup, times, sum(walls), len(jobs), max(rss) / 1024.0, problems)
+    return summary, refused
 
 
 def cli_traced(ctx, workload, seed):
@@ -278,8 +287,10 @@ def run_session(ctx, mode, seed, seconds, spans=None):
 def lib_timed(ctx, seed, seconds):
     setup = setup_times(ctx, session_argv(ctx, "setup", seed, 0, ctx.path("setup.json")))
     res, report = run_session(ctx, "timed", seed, seconds)
-    times = report["times"]
-    return summarize(setup, times, report["jobs_per_pass"], res.rss_kb / 1024.0, report["failures"])
+    return summarize(
+        setup, report["times"], report["wall"], report["jobs_per_pass"], res.rss_kb / 1024.0,
+        report["failures"],
+    )
 
 
 def lib_traced(ctx, seed):
@@ -297,37 +308,36 @@ def lib_traced(ctx, seed):
 # -- metrics and output --------------------------------------------------------------
 
 
-def summarize(setup, walls, per_pass, peak_rss_mb, problems):
-    """End-to-end values from the job wall times of whole passes.
+def summarize(setup, times, wall, per_pass, peak_rss_mb, problems):
+    """End-to-end values from the job times of whole passes.
 
-    Each job of the pass is represented by its median wall time over the
-    passes, so a slow spell of the machine during part of a run moves the
-    figures less; throughput and percentiles are taken over those.
+    ``times`` are wall times rescaled to the reference speed (calib.py),
+    ``wall`` is their unscaled total.  Throughput and percentiles are
+    taken over every job of the run.
     """
-    passes = len(walls) // per_pass
-    typical = sorted(statistics.median(walls[i::per_pass]) for i in range(per_pass))
-    q = statistics.quantiles(typical, n=10) if per_pass > 1 else [typical[0]] * 9
+    passes = len(times) // per_pass
+    q = statistics.quantiles(times, n=10) if len(times) > 1 else times * 9
     values = {
         "setup_s": statistics.median(setup),
-        "jobs_per_s": per_pass / sum(typical),
-        "job_p50_s": statistics.median(typical),
+        "jobs_per_s": len(times) / sum(times),
+        "job_p50_s": statistics.median(times),
         "job_p90_s": q[8],
         "peak_rss_mb": peak_rss_mb,
     }
-    per_job = "%d jobs x %d passes, per-job medians" % (per_pass, passes)
+    per_job = "%d samples: %d jobs x %d passes" % (len(times), per_pass, passes)
     notes = {
         "setup_s": "median of %d set-ups" % len(setup),
-        "jobs_per_s": "%s; %.2f s of job wall time" % (per_job, sum(walls)),
+        "jobs_per_s": "%s; %.2f s of job wall time, %.2f s scaled" % (per_job, wall, sum(times)),
         "job_p50_s": per_job,
         "job_p90_s": per_job,
         "peak_rss_mb": "largest peak resident set of a job process, from wait4",
     }
-    return values, notes, len(walls), problems
+    return values, notes, len(times), problems
 
 
 def print_timed(workload, summary, refused):
     values, notes, attempted, problems = summary
-    print("workload %s (tracing off)" % workload)
+    print("workload %s (tracing off; times in seconds at reference speed)" % workload)
     for name, unit in END_TO_END:
         print("  %-12s = %.6g %s  (%s)" % (name, values[name], unit, notes[name]))
     print("  fail_ratio   = %d/%d" % (len(problems), attempted))

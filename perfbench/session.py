@@ -5,7 +5,9 @@ usage: python3 perfbench/session.py SRC MODE SEED SECONDS OUT [SPANS]
 MODE is ``setup`` (import and frame construction only), ``timed``
 (whole passes over the jobs until SECONDS have passed, tracing off) or ``pass`` (run the
 job list a fixed number of times, traced when SPANS is given, so that
-traced counts repeat exactly).  Results go to OUT as JSON.
+traced counts repeat exactly).  Results go to OUT as JSON; job times are
+wall times rescaled to the reference speed measured around each pass
+(see calib.py), and ``wall`` is their unscaled total.
 
 Every job re-derives its frame through ``Frame.make`` and ``at_level``
 and rebuilds its operands from raw tables, as a library user holding
@@ -19,6 +21,8 @@ import json
 import random
 import sys
 import time
+
+import calib
 
 PASSES = 10  # passes in ``pass`` mode: the first is cold, the rest warm
 
@@ -290,9 +294,12 @@ def main():
     jobs = generate(int(seed))
     results = {}
     times, failures = [], []
+    wall = 0.0
     deadline = time.perf_counter() + float(seconds)
     rounds = 0
+    ref = calib.Reference()
     while True:
+        elapsed = []
         for job_id, kind, data in jobs:
             if tracer is not None:
                 tracer.job = job_id
@@ -302,7 +309,7 @@ def main():
                 out = run_job(kind, data)
             except Exception as err:  # a failed job is reported, not fatal
                 out, problem = None, "%s: %r" % (job_id, err)
-            times.append(time.perf_counter() - t0)
+            elapsed.append(time.perf_counter() - t0)
             if tracer is not None:
                 tracer.on = False
             if out is not None:
@@ -313,6 +320,9 @@ def main():
                     problem = "%s: %s" % (job_id, problem)
             if problem is not None:
                 failures.append(problem)
+        factor = ref.factor()
+        times += [e * factor for e in elapsed]
+        wall += sum(elapsed)
         rounds += 1
         if mode == "timed" and time.perf_counter() >= deadline:
             break
@@ -321,7 +331,13 @@ def main():
     digest = hashlib.sha256(
         "\n".join("%s %s" % kv for kv in sorted(results.items())).encode()
     ).hexdigest()
-    report = {"times": times, "jobs_per_pass": len(jobs), "failures": failures, "digest": digest}
+    report = {
+        "times": times,
+        "wall": wall,
+        "jobs_per_pass": len(jobs),
+        "failures": failures,
+        "digest": digest,
+    }
     if tracer is not None:
         tracer.dump(spans)
     with open(out_path, "w", encoding="utf-8") as fh:

@@ -14,6 +14,7 @@ ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 sys.path[:0] = [HERE, SRC]
 
+import calib  # noqa: E402
 import corpus  # noqa: E402
 import session  # noqa: E402
 import tracer  # noqa: E402
@@ -53,6 +54,13 @@ def test_seed_changes_coefficients_not_shapes():
     for x, y in zip(corpus.solve_jobs(7), corpus.solve_jobs(8)):
         assert x.text != y.text
         assert supports(x.text) == supports(y.text)
+
+
+def test_reference_factor_rescales_the_loop_to_its_nominal_time():
+    ref = calib.Reference()
+    scaled = calib.loop_seconds() * ref.factor()
+    # the loop's own time, scaled by the loops around it, is about nominal
+    assert 0.5 * calib.REF_NOMINAL_S < scaled < 2 * calib.REF_NOMINAL_S
 
 
 def test_install_leaves_no_listed_binding_unwrapped():
