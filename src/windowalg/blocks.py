@@ -8,6 +8,10 @@ polynomial grammar over the variables u, t1..tr accepts integers, + - *
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+from .series import _Kernel, _layout
+
 
 class ParseError(ValueError):
     def __init__(self, message, line, col):
@@ -56,12 +60,14 @@ def _tokenize(text, line=1):
 
 
 class _PolyParser:
-    """Recursive descent over the token list, evaluating into a raw table."""
+    """Recursive descent over the token list, evaluating into a packed
+    table of the uncapped integer ring in u, t1..tr."""
 
     def __init__(self, tokens, r):
         self.tokens = tokens
         self.pos = 0
         self.r = r
+        self.ring = _parse_ring(r)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -80,24 +86,29 @@ class _PolyParser:
         tok = self.peek()
         if tok[0] != "end":
             self.fail("unexpected token %r" % str(tok[1]))
-        return tbl
+        return self.ring.layout.unpack_table(tbl)
 
     def expr(self):
+        ring = self.ring
         sign = 1
         if self.peek()[0] in "+-":
             sign = -1 if self.take()[0] == "-" else 1
-        tbl = _scal(self.term(), sign)
+        tbl = ring.scal(self.term(), sign)
         while self.peek()[0] in "+-":
             op = self.take()[0]
             rhs = self.term()
-            tbl = _addt(tbl, _scal(rhs, -1 if op == "-" else 1))
+            tbl = ring.sub(tbl, rhs) if op == "-" else ring.add(tbl, rhs)
         return tbl
 
     def term(self):
         tbl = self.factor()
         while self.peek()[0] == "*":
-            self.take()
-            tbl = _mult(tbl, self.factor(), self.r)
+            tok = self.take()
+            rhs = self.factor()
+            try:
+                tbl = self.ring.mul(tbl, rhs)
+            except OverflowError:
+                self.fail("product degree too large", tok)
         return tbl
 
     def factor(self):
@@ -107,18 +118,18 @@ class _PolyParser:
             tok = self.take()
             if tok[0] != "int":
                 self.fail("exponent must be an integer", tok)
-            out = {(0,) * (self.r + 1): 1}
-            for _ in range(tok[1]):
-                out = _mult(out, base, self.r)
-            return out
+            try:
+                return self.ring.pow(base, tok[1])
+            except OverflowError:
+                self.fail("exponent too large", tok)
         return base
 
     def atom(self):
         tok = self.take()
         if tok[0] == "int":
-            return {(0,) * (self.r + 1): tok[1]}
+            return self.ring.const(tok[1])
         if tok[0] == "-":
-            return _scal(self.factor(), -1)
+            return self.ring.neg(self.factor())
         if tok[0] == "(":
             tbl = self.expr()
             closing = self.take()
@@ -129,39 +140,26 @@ class _PolyParser:
             key = [0] * (self.r + 1)
             if tok[1] == "u":
                 key[-1] = 1
-                return {tuple(key): 1}
+                return {self.ring.layout.pack(key): 1}
             if tok[1].startswith("t") and tok[1][1:].isdigit():
                 i = int(tok[1][1:])
                 if 1 <= i <= self.r:
                     key[i - 1] = 1
-                    return {tuple(key): 1}
+                    return {self.ring.layout.pack(key): 1}
                 self.fail("variable %s out of range (r = %d)" % (tok[1], self.r), tok)
             self.fail("unknown variable %r" % tok[1], tok)
         self.fail("expected a polynomial atom", tok)
 
 
-def _addt(f, g):
-    out = dict(f)
-    for k, c in g.items():
-        out[k] = out.get(k, 0) + c
-    return {k: c for k, c in out.items() if c}
-
-
-def _scal(f, n):
-    return {k: c * n for k, c in f.items() if c * n}
-
-
-def _mult(f, g, r):
-    out = {}
-    for k1, c1 in f.items():
-        for k2, c2 in g.items():
-            key = tuple(a + b for a, b in zip(k1, k2))
-            out[key] = out.get(key, 0) + c1 * c2
-    return {k: c for k, c in out.items() if c}
+@lru_cache(maxsize=16)
+def _parse_ring(r):
+    """Exact integer polynomials in u, t1..tr with no caps."""
+    return _Kernel(_layout(r, None), None, None, None, None)
 
 
 def parse_poly(text, r, line=1):
-    """Parse an integer polynomial in u, t1..tr into a raw table."""
+    """Parse an integer polynomial in u, t1..tr into a table keyed by
+    exponent tuples (t1, .., tr, u)."""
     return _PolyParser(_tokenize(text, line), r).parse()
 
 

@@ -93,6 +93,8 @@ def cmd_validate(spec, out):
         frame_errors = validate_frame(frame)
     except blk.ParseError:
         raise
+    except ValueError as err:  # a frame the library refuses to build
+        frame_errors = [str(err)]
     for msg in frame_errors:
         out.fact("error", msg)
         errors.append(msg)
@@ -232,7 +234,7 @@ def main(argv=None):
         out.fact("parse_error", str(err))
         out.flush()
         return 2
-    except (DecompositionError, IsogenyError, ValueError) as err:
+    except (DecompositionError, IsogenyError, ValueError, OSError) as err:
         out.fact("error", str(err))
         out.flush()
         return 1

@@ -12,6 +12,20 @@ The Frobenius lift sigma maps the cap ideal into itself and therefore
 descends to the truncation; recovering the untruncated value of
 sigma(x) additionally needs t-degree(x) <= D/p (the caller's budget).
 
+Internally a table maps packed monomials to integer residues.  The
+monomial t1^a1 .. tr^ar u^j is one int with the bit fields
+[total t-degree | t1 .. tr | u], u lowest, so 1 packs to 0 and u^j to
+j.  The layout depends only on r and D: each t-field holds 2*D and the
+u-field holds 2*MAX_UCAP - 1, so the product of two monomials inside
+the caps is one integer add that never carries between fields, the
+t-cap is one compare (the total degree is the top field) and the u-cap
+one mask and one compare.  Every ring of a frame (S, R, boosted, exact,
+and the T-ring of tframe) shares the layout, and the layout does not
+depend on the level, so moving a table between rings never repacks.
+Tables keyed by exponent tuples (alpha_1, .., alpha_r, j) remain the
+outside view: Frame.elem takes them, SeriesElem.coeffs and TElem.coeffs
+return them, and the parser and renderer work with them.
+
 Values are immutable after construction and all operations are pure,
 so elements and frames are safe to share between threads.
 """
@@ -19,11 +33,14 @@ so elements and frames are safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 # Hard ceiling on a*e so level changes (lifting, rigidity at level a*p)
-# cannot silently explode table sizes.
+# cannot silently explode table sizes; it also sizes the packed u-field.
 MAX_UCAP = 4096
+
+# Field width of uncapped layouts (the parser, the symbolic Witt table).
+_WIDE = 32
 
 
 class PrecisionError(ArithmeticError):
@@ -34,29 +51,90 @@ class FrameMismatchError(ValueError):
     """Operands belong to different frames, levels or ring tags."""
 
 
-def _zero_key(r):
-    return (0,) * (r + 1)
+class _Layout:
+    """Bit fields [total t-degree | t1 .. tr | u] of a packed monomial.
 
-
-class _Ring:
-    """Raw table arithmetic for one truncated ring.
-
-    Tables map monomial keys (alpha_1, .., alpha_r, j) to integer
-    residues.  pmod is the coefficient modulus (None means exact
-    integers).  When E_items is set the ring is the E-quotient: u-degree
-    is kept below e by long division after every product.
+    With a cap D every t-field holds 2*D and the u-field 2*MAX_UCAP - 1,
+    the largest exponents a product of two capped monomials can form.
+    Without one (D is None) fields are _WIDE bits wide and the rings
+    refuse a product that could overflow them.
     """
 
-    __slots__ = ("p", "r", "tdeg", "ucap", "pmod", "e", "E_items")
+    __slots__ = ("r", "tw", "uw", "ts", "tmax", "umask")
 
-    def __init__(self, p, r, tdeg, ucap, pmod, e=None, E_items=None):
-        self.p = p
+    def __init__(self, r, D):
+        if D is None:
+            self.tw = self.uw = _WIDE
+        else:
+            self.tw = max(2 * D, 1).bit_length()
+            self.uw = (2 * MAX_UCAP - 1).bit_length()
         self.r = r
+        self.ts = self.uw + r * self.tw  # shift of the total-degree field
+        self.tmax = (1 << self.tw) - 1
+        self.umask = (1 << self.uw) - 1
+
+    def pack(self, key):
+        """Packed form of an exponent tuple; refuses what does not fit."""
+        if len(key) != self.r + 1:
+            raise ValueError("monomial %r does not have r + 1 = %d exponents" % (key, self.r + 1))
+        tw = self.tw
+        k = tot = 0
+        for x in key[:-1]:
+            if x < 0:
+                raise OverflowError("negative exponent in monomial %r" % (key,))
+            k = (k << tw) | x
+            tot += x
+        u = key[-1]
+        if tot > self.tmax or not 0 <= u <= self.umask:
+            raise OverflowError("monomial %r does not fit the packed fields" % (key,))
+        return (((tot << (self.r * tw)) | k) << self.uw) | u
+
+    def unpack(self, k):
+        u = k & self.umask
+        k >>= self.uw
+        ts = []
+        for _ in range(self.r):
+            ts.append(k & self.tmax)
+            k >>= self.tw
+        return tuple(reversed(ts)) + (u,)
+
+    def pack_table(self, tbl):
+        return {self.pack(k): c for k, c in tbl.items()}
+
+    def unpack_table(self, tbl):
+        return {self.unpack(k): c for k, c in tbl.items()}
+
+
+@lru_cache(maxsize=64)
+def _layout(r, D):
+    return _Layout(r, D)
+
+
+class _Kernel:
+    """Packed-table arithmetic for one truncated ring.
+
+    Tables map packed monomials to integer residues and are never
+    mutated.  pmod is the coefficient modulus (None means exact
+    integers); tdeg and ucap are the t- and u-caps (None: none, the
+    field width then bounds exponents and overflow is refused).  When
+    tail (E - u^e as packed pairs) is set the ring is the E-quotient:
+    u-degree is kept below e by long division after every product.
+    """
+
+    __slots__ = ("p", "layout", "tdeg", "ucap", "pmod", "e", "tail", "tbound", "ulim")
+
+    def __init__(self, layout, p, tdeg, ucap, pmod, e=None, tail=None):
+        self.p = p
+        self.layout = layout
         self.tdeg = tdeg
-        self.ucap = ucap
+        self.ucap = layout.umask + 1 if ucap is None else ucap
         self.pmod = pmod
         self.e = e
-        self.E_items = E_items
+        self.tail = tail
+        # packed keys at or above tbound have total t-degree > the cap
+        self.tbound = ((layout.tmax if tdeg is None else tdeg) + 1) << layout.ts
+        # the u-cap applied inside products; the E-quotient divides instead
+        self.ulim = layout.umask + 1 if tail is not None else self.ucap
 
     # -- basic table plumbing ------------------------------------------
 
@@ -66,19 +144,27 @@ class _Ring:
         m = self.pmod
         return {k: cm for k, c in tbl.items() if (cm := c % m)}
 
+    def clip(self, tbl):
+        """Normalized image of a packed table under the caps."""
+        tb, um, ucap = self.tbound, self.layout.umask, self.ucap
+        return self.norm({k: c for k, c in tbl.items() if k < tb and k & um < ucap})
+
+    def pack(self, table):
+        """Normalized packed image of a table keyed by exponent tuples."""
+        lay, ucap = self.layout, self.ucap
+        tdeg = lay.tmax if self.tdeg is None else self.tdeg
+        return self.norm(
+            {lay.pack(k): c for k, c in table.items() if k[-1] < ucap and sum(k[:-1]) <= tdeg}
+        )
+
     def const(self, n):
-        return self.norm({_zero_key(self.r): n})
+        return self.norm({0: n})
 
     def zero(self):
         return {}
 
     def one(self):
         return self.const(1)
-
-    def keep(self, key):
-        if key[-1] >= self.ucap:
-            return False
-        return self.tdeg is None or sum(key[:-1]) <= self.tdeg
 
     def add(self, f, g):
         out = dict(f)
@@ -98,36 +184,42 @@ class _Ring:
     def scal(self, f, n):
         return self.norm({k: c * n for k, c in f.items()})
 
-    def mul_raw(self, f, g):
-        """Product with t/p caps applied but no u-cap and no E-reduction."""
-        out = {}
-        tdeg = self.tdeg
-        for k1, c1 in f.items():
-            for k2, c2 in g.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                if tdeg is not None and sum(key[:-1]) > tdeg:
-                    continue
-                out[key] = out.get(key, 0) + c1 * c2
-        return self.norm(out)
+    def _room(self, f, g):
+        """Refuse a product of uncapped tables that could overflow a field."""
+        if f and g:
+            lay = self.layout
+            um, ts = lay.umask, lay.ts
+            top_t = (max(f) >> ts) + (max(g) >> ts)
+            top_u = max(k & um for k in f) + max(k & um for k in g)
+            if top_t > lay.tmax or top_u > um:
+                raise OverflowError("product exceeds the packed exponent fields")
 
     def mul(self, f, g):
-        if self.E_items is None:
-            out = {}
-            tdeg = self.tdeg
-            ucap = self.ucap
-            for k1, c1 in f.items():
-                for k2, c2 in g.items():
-                    j = k1[-1] + k2[-1]
-                    if j >= ucap:
-                        continue
-                    key = tuple(a + b for a, b in zip(k1[:-1], k2[:-1])) + (j,)
-                    if tdeg is not None and sum(key[:-1]) > tdeg:
-                        continue
-                    out[key] = out.get(key, 0) + c1 * c2
-            return self.norm(out)
-        prod = self.mul_raw(f, g)
-        _, rem = self.divmod_u_monic(prod, self.E_items, self.e)
-        return rem
+        """Product under the caps, E-reduced in the quotient ring.
+
+        The total t-degree is the top field, so k1 + k2 >= tbound exactly
+        when the product leaves the t-cap; with g sorted, the first such
+        k2 ends the row for k1.
+        """
+        if len(f) > len(g):
+            f, g = g, f
+        if self.tdeg is None:
+            self._room(f, g)
+        tb, um, ul = self.tbound, self.layout.umask, self.ulim
+        out = {}
+        get = out.get
+        gs = sorted(g.items())
+        for k1, c1 in f.items():
+            lim = tb - k1
+            for k2, c2 in gs:
+                if k2 >= lim:
+                    break
+                k = k1 + k2
+                if k & um < ul:
+                    out[k] = get(k, 0) + c1 * c2
+        if self.tail is not None:
+            return self.divmod_u_monic(out, self.tail, self.e)[1]
+        return self.norm(out)
 
     def pow(self, f, n):
         result = self.one()
@@ -140,50 +232,141 @@ class _Ring:
         return result
 
     def sigma(self, f):
-        """Frobenius lift: coefficients fixed, monomials raised to the p-th power."""
-        out = {}
-        for k, c in f.items():
-            key = tuple(a * self.p for a in k)
-            if not self.keep(key):
-                continue
-            out[key] = out.get(key, 0) + c
-        return self.norm(out)
+        """Frobenius lift: coefficients fixed, monomials raised to the p-th power.
 
-    def divmod_u_monic(self, f, E_items, e):
-        """Long division by the u-monic polynomial E of u-degree e.
+        Raising to the p-th power multiplies every field by p, so a key
+        whose total t-degree and u-degree stay under the caps maps to
+        k*p without carries; the others vanish in the truncation.
+        """
+        p, ts, um, ucap = self.p, self.layout.ts, self.layout.umask, self.ucap
+        tdeg = self.layout.tmax if self.tdeg is None else self.tdeg
+        out = {k * p: c for k, c in f.items() if (k >> ts) * p <= tdeg and (k & um) * p < ucap}
+        if self.tdeg is None and len(out) < len(f):
+            raise OverflowError("sigma exceeds the packed exponent fields")
+        return out
+
+    def divmod_u_monic(self, f, tail, e):
+        """Long division by the u-monic E = u^e + tail, tail of u-degree < e.
 
         Returns (q, rem) with f = q*E + rem inside the capped ring and
         u-degree(rem) < e.  Caps are applied to every intermediate
-        product, which keeps the identity valid in the quotient.
+        product, which keeps the identity valid in the quotient.  The
+        table is split into u-bands once; subtracting (c * monomial) *
+        tail only feeds bands below the current one.
         """
-        rem = dict(f)
+        um, tb, m = self.layout.umask, self.tbound, self.pmod
+        bands = {}
+        for k, c in f.items():
+            band = bands.get(k & um)
+            if band is None:
+                bands[k & um] = {k: c}
+            else:
+                band[k] = c
         q = {}
-        tail = [(k, c) for k, c in E_items if k[-1] < e]
-        tdeg = self.tdeg
-        while True:
-            j = -1
-            for k in rem:
-                if k[-1] >= e and k[-1] > j:
-                    j = k[-1]
-            if j < 0:
-                break
-            lead = [(k, c) for k, c in rem.items() if k[-1] == j]
-            for k, c in lead:
-                qk = k[:-1] + (j - e,)
-                q[qk] = q.get(qk, 0) + c
-                del rem[k]
-                # subtract (c * monomial) * (E - u^e); only the t-cap
-                # applies here, u-degrees keep shrinking on their own
+        for j in range(max(bands, default=0), e - 1, -1):
+            band = bands.pop(j, None)
+            if not band:
+                continue
+            for k, c in band.items():
+                if m is not None:
+                    c %= m
+                if not c:
+                    continue
+                qk = k - e
+                q[qk] = c
+                # only the t-cap applies here, u-degrees keep shrinking
                 for ek, ec in tail:
-                    key = tuple(a + b for a, b in zip(qk, ek))
-                    if tdeg is not None and sum(key[:-1]) > tdeg:
-                        continue
-                    rem[key] = rem.get(key, 0) - c * ec
-            rem = self.norm(rem)
+                    key = qk + ek
+                    if key < tb:
+                        tgt = bands.get(key & um)
+                        if tgt is None:
+                            tgt = bands[key & um] = {}
+                        tgt[key] = tgt.get(key, 0) - c * ec
+        rem = {}
+        for band in bands.values():
+            rem.update(band)
         return self.norm(q), self.norm(rem)
 
+    def shift_u(self, f, d):
+        """f * u^d; a negative d needs every u-degree to be at least -d."""
+        um = self.layout.umask
+        us = [k & um for k in f]
+        if us and (min(us) + d < 0 or max(us) + d > um):
+            raise ValueError("u-shift by %d leaves the u-field" % d)
+        return {k + d: c for k, c in f.items()}
+
+    # -- T-ring bands ------------------------------------------------------
+    #
+    # T_level = S[v]/(pv - u^e, v^level) stores an element as its band
+    # vector: the v^i coefficient tables, each of u-degree < e.
+
+    def to_bands(self, raw, level):
+        """Canonical bands of raw band tables of any u-degree: a term
+        u^(m*e + j) v^i becomes p^m u^j v^(i+m), and v^level vanishes."""
+        e, p, um = self.e, self.p, self.layout.umask
+        out = [{} for _ in range(level)]
+        for i, band in enumerate(raw):
+            for k, c in band.items():
+                m = (k & um) // e
+                if i + m < level:
+                    tgt = out[i + m]
+                    key = k - m * e
+                    tgt[key] = tgt.get(key, 0) + c * p**m
+        return [self.norm(t) for t in out]
+
+    def band_mul(self, fs, gs):
+        """Product of two band vectors of one length.
+
+        One pass over the band pairs (i, j) with i + j < level adds packed
+        keys under the t-cap; a product term has u-degree < 2e, so one
+        carry pass rewriting u^e as p*v (one band up) makes it canonical.
+        """
+        level, tb = len(fs), self.tbound
+        acc = [{} for _ in range(level)]
+        for i, fi in enumerate(fs):
+            if not fi:
+                continue
+            for j in range(level - i):
+                gj = gs[j]
+                if not gj:
+                    continue
+                tgt = acc[i + j]
+                get = tgt.get
+                for k1, c1 in fi.items():
+                    for k2, c2 in gj.items():
+                        k = k1 + k2
+                        if k < tb:
+                            tgt[k] = get(k, 0) + c1 * c2
+        e, p, um, m = self.e, self.p, self.layout.umask, self.pmod
+        out = []
+        carry = {}
+        for band in acc:
+            for k, c in carry.items():
+                band[k] = band.get(k, 0) + c
+            lo, carry = {}, {}
+            for k, c in band.items():
+                if k & um < e:
+                    c %= m
+                    if c:
+                        lo[k] = c
+                else:
+                    carry[k - e] = c * p
+            out.append(lo)
+        return out
+
+    def band_sigma(self, fs):
+        """sigma on coefficients plus v -> p^(p-1) v^p; a key passes the
+        t-cap when p times its total t-degree does, and raising it to the
+        p-th power multiplies every field by p."""
+        p, ts, tdeg, level = self.p, self.layout.ts, self.tdeg, len(fs)
+        raw = [{} for _ in range(level)]
+        for i, fi in enumerate(fs[: (level - 1) // p + 1]):
+            scale = p ** ((p - 1) * i)
+            raw[p * i] = {k * p: c * scale for k, c in fi.items() if (k >> ts) * p <= tdeg}
+        return self.to_bands(raw, level)
+
     def const_term(self, f):
-        return f.get(_zero_key(self.r), 0)
+        return f.get(0, 0)
 
     def is_unit(self, f):
         return self.const_term(f) % self.p != 0
@@ -224,6 +407,31 @@ class _Ring:
         return out
 
 
+class _Ring:
+    """Tuple-keyed call surface over a _Kernel.
+
+    Tables keyed by exponent tuples (alpha_1, .., alpha_r, j) are
+    packed (exponents that do not fit are refused), the kernel method
+    of the same name runs, and table results are unpacked.  Used for
+    the symbolic Witt polynomial table; the frame rings are kernels.
+    """
+
+    def __init__(self, p, r, tdeg, ucap, pmod):
+        self.kernel = _Kernel(_layout(r, tdeg), p, tdeg, ucap, pmod)
+
+    def __getattr__(self, name):
+        method = getattr(self.kernel, name)
+        lay = self.kernel.layout
+
+        def call(*args):
+            out = method(*(lay.pack_table(a) if isinstance(a, dict) else a for a in args))
+            if isinstance(out, tuple):
+                return tuple(lay.unpack_table(t) for t in out)
+            return lay.unpack_table(out) if isinstance(out, dict) else out
+
+        return call
+
+
 @dataclass(frozen=True)
 class Frame:
     """Global context for all arithmetic.
@@ -232,6 +440,7 @@ class Frame:
     a the truncation level (u^(a*e) = 0), N the p-adic precision, D the
     total t-degree cap and L the default Witt length.  E_items holds the
     full polynomial E as a sorted tuple of (monomial key, coefficient).
+    a*e may not exceed MAX_UCAP, on any construction path.
     """
 
     p: int
@@ -242,6 +451,10 @@ class Frame:
     D: int
     L: int
     E_items: tuple
+
+    def __post_init__(self):
+        if max(self.a, 1) * self.e > MAX_UCAP:
+            raise ValueError("a*e exceeds the configured u-cap")
 
     @classmethod
     def make(cls, p, r, e, a, N, D, L, E):
@@ -276,6 +489,21 @@ class Frame:
     def _cache(self):
         return {}
 
+    @cached_property
+    def layout(self):
+        """The packed-monomial layout shared by every ring of the frame."""
+        return _layout(self.r, self.D)
+
+    @cached_property
+    def _E_tail(self):
+        """E - u^e as packed pairs; terms past the t-cap reach no product."""
+        lay = self.layout
+        return tuple(
+            (lay.pack(k), c)
+            for k, c in self.E_items
+            if k[-1] < self.e and sum(k[:-1]) <= self.D
+        )
+
     def rmod_exp(self):
         """Coefficient modulus exponent of R/p^aR in canonical form."""
         return min(self.a, self.N)
@@ -285,43 +513,35 @@ class Frame:
         ring = self._cache.get(key)
         if ring is None:
             if tag == "S":
-                ring = _Ring(self.p, self.r, self.D, self.a * self.e, self.p ** (self.N + boost))
+                pmod = self.p ** (self.N + boost)
+                ring = _Kernel(self.layout, self.p, self.D, self.a * self.e, pmod, self.e)
             elif tag == "R":
-                ring = _Ring(
-                    self.p,
-                    self.r,
-                    self.D,
-                    self.e,
-                    self.p ** (self.rmod_exp() + boost),
-                    e=self.e,
-                    E_items=self.E_items,
-                )
+                pmod = self.p ** (self.rmod_exp() + boost)
+                ring = _Kernel(self.layout, self.p, self.D, self.e, pmod, self.e, self._E_tail)
             else:
                 raise ValueError("unknown ring tag %r" % tag)
             self._cache[key] = ring
         return ring
 
-    def exact_ring(self, ucap=None):
+    def exact_ring(self):
         """Honest-p model: same monomial caps, exact integer coefficients."""
-        key = ("X", ucap)
-        ring = self._cache.get(key)
+        ring = self._cache.get("X")
         if ring is None:
-            ring = _Ring(self.p, self.r, self.D, self.a * self.e if ucap is None else ucap, None)
-            self._cache[key] = ring
+            ring = _Kernel(self.layout, self.p, self.D, self.a * self.e, None)
+            self._cache["X"] = ring
         return ring
 
     # -- element constructors --------------------------------------------
 
     def elem(self, table, tag="S"):
-        ring = self.ring(tag)
-        clipped = {k: c for k, c in table.items() if ring.keep(k)}
-        return SeriesElem(self, tag, ring.norm(clipped))
+        """Element from a table keyed by exponent tuples, clipped to the caps."""
+        return SeriesElem(self, tag, self.ring(tag).pack(table))
 
     def const(self, n, tag="S"):
-        return self.elem({_zero_key(self.r): n}, tag)
+        return SeriesElem(self, tag, self.ring(tag).clip({0: n}))
 
     def zero(self, tag="S"):
-        return self.elem({}, tag)
+        return SeriesElem(self, tag, {})
 
     def one(self, tag="S"):
         return self.const(1, tag)
@@ -354,8 +574,7 @@ class Frame:
     def epsilon(self):
         """(E - u^e)/p, a unit when the frame is valid."""
         ring = self.ring("S")
-        tail = {k: c for k, c in self.E_items if k[-1] < self.e}
-        return SeriesElem(self, "S", ring.div_exact_ppow(ring.norm(tail), 1))
+        return SeriesElem(self, "S", ring.div_exact_ppow(ring.norm(dict(self._E_tail)), 1))
 
     @cached_property
     def _e_div_corrector(self):
@@ -367,27 +586,35 @@ class Frame:
         from math import comb
 
         ring = self.ring("S")
-        E = dict(self.E_items)
+        E = self.E.packed
         acc = ring.zero()
         for k in range(1, self.a + 1):
             term = ring.pow(E, k - 1)
-            upart = {(0,) * self.r + (self.e * (self.a - k),): (-1) ** (self.a - k)}
-            term = ring.mul(term, ring.norm(upart))
+            upart = ring.norm({self.e * (self.a - k): (-1) ** (self.a - k)})
+            term = ring.mul(term, upart)
             acc = ring.add(acc, ring.scal(term, comb(self.a, k)))
-        eps_inv = ring.inv(self.epsilon.coeffs)
+        eps_inv = ring.inv(self.epsilon.packed)
         inv_pow = ring.pow(eps_inv, self.a)
         return ring.mul(acc, inv_pow)
 
 
 class SeriesElem:
-    """Element of the truncated series ring (tag "S") or its E-quotient (tag "R")."""
+    """Element of the truncated series ring (tag "S") or its E-quotient (tag "R").
 
-    __slots__ = ("frame", "tag", "coeffs")
+    packed is the normalized packed table; coeffs is the same table
+    keyed by exponent tuples.
+    """
 
-    def __init__(self, frame, tag, coeffs):
+    __slots__ = ("frame", "tag", "packed")
+
+    def __init__(self, frame, tag, packed):
         self.frame = frame
         self.tag = tag
-        self.coeffs = coeffs
+        self.packed = packed
+
+    @property
+    def coeffs(self):
+        return self.frame.layout.unpack_table(self.packed)
 
     def _ring(self):
         return self.frame.ring(self.tag)
@@ -407,42 +634,42 @@ class SeriesElem:
         if isinstance(other, int):
             other = self.frame.const(other, self.tag)
         self._check(other)
-        return self._wrap(self._ring().add(self.coeffs, other.coeffs))
+        return self._wrap(self._ring().add(self.packed, other.packed))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._wrap(self._ring().neg(self.coeffs))
+        return self._wrap(self._ring().neg(self.packed))
 
     def __sub__(self, other):
         if isinstance(other, int):
             other = self.frame.const(other, self.tag)
         self._check(other)
-        return self._wrap(self._ring().sub(self.coeffs, other.coeffs))
+        return self._wrap(self._ring().sub(self.packed, other.packed))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return self._wrap(self._ring().scal(self.coeffs, other))
+            return self._wrap(self._ring().scal(self.packed, other))
         self._check(other)
-        return self._wrap(self._ring().mul(self.coeffs, other.coeffs))
+        return self._wrap(self._ring().mul(self.packed, other.packed))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        return self._wrap(self._ring().pow(self.coeffs, n))
+        return self._wrap(self._ring().pow(self.packed, n))
 
     def __eq__(self, other):
         if not isinstance(other, SeriesElem):
             return NotImplemented
-        return self.frame == other.frame and self.tag == other.tag and self.coeffs == other.coeffs
+        return self.frame == other.frame and self.tag == other.tag and self.packed == other.packed
 
     __hash__ = None
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.packed
 
     def zero(self):
         return self.frame.zero(self.tag)
@@ -451,31 +678,32 @@ class SeriesElem:
         return self.frame.one(self.tag)
 
     def constant_term(self):
-        return self._ring().const_term(self.coeffs)
+        return self._ring().const_term(self.packed)
 
     def u_degree(self):
-        return max((k[-1] for k in self.coeffs), default=-1)
+        um = self.frame.layout.umask
+        return max((k & um for k in self.packed), default=-1)
 
     def is_unit(self):
-        return self._ring().is_unit(self.coeffs)
+        return self._ring().is_unit(self.packed)
 
     def invert(self):
-        return self._wrap(self._ring().inv(self.coeffs))
+        return self._wrap(self._ring().inv(self.packed))
 
     # -- frame maps --------------------------------------------------------
 
     def frobenius(self):
         if self.tag != "S":
             raise ValueError("frobenius is defined on the series ring only")
-        return self._wrap(self._ring().sigma(self.coeffs))
+        return self._wrap(self._ring().sigma(self.packed))
 
     def reduce_mod_E(self):
         """Canonical image in R/p^aR: u-degree < e, coefficients mod p^min(a,N)."""
         if self.tag != "S":
             return self
-        ring = self._ring()
-        _, rem = ring.divmod_u_monic(self.coeffs, self.frame.E_items, self.frame.e)
-        return SeriesElem(self.frame, "R", self.frame.ring("R").norm(rem))
+        f = self.frame
+        _, rem = self._ring().divmod_u_monic(self.packed, f._E_tail, f.e)
+        return SeriesElem(f, "R", f.ring("R").norm(rem))
 
     def divide_by_E(self):
         """Return q with q*E == self in the level-a ring, or None.
@@ -488,34 +716,32 @@ class SeriesElem:
             raise ValueError("E-division acts on the series ring")
         f = self.frame
         ring = self._ring()
-        q, rem = ring.divmod_u_monic(self.coeffs, f.E_items, f.e)
+        q, rem = ring.divmod_u_monic(self.packed, f._E_tail, f.e)
         rmod = f.p ** f.rmod_exp()
         if any(c % rmod for c in rem.values()):
             return None
-        if rem:
-            if f.a >= f.N:
-                q = dict(q)
-            else:
-                s = ring.div_exact_ppow(rem, f.a)
-                q = ring.add(q, ring.mul(f._e_div_corrector, s))
-        out = self._wrap(ring.norm(q))
+        if rem and f.a < f.N:
+            s = ring.div_exact_ppow(rem, f.a)
+            q = ring.add(q, ring.mul(f._e_div_corrector, s))
+        out = self._wrap(q)
         if out * f.E != self:
             raise PrecisionError("E-division reconstruction failed")
         return out
 
     def divide_by_p(self, k=1):
         """Exact division by p^k (errors if any coefficient resists)."""
-        return self._wrap(self._ring().div_exact_ppow(self.coeffs, k))
+        return self._wrap(self._ring().div_exact_ppow(self.packed, k))
 
     def at_level(self, a):
         """Canonical image at a different truncation level.
 
         Raising the level reads the same table as an element of the
         larger ring (the canonical representative lift); lowering it
-        truncates.
+        truncates.  The layout does not depend on the level, so this
+        only clips and renormalizes.
         """
         target = self.frame.at_level(a)
-        return target.elem(self.coeffs, self.tag)
+        return SeriesElem(target, self.tag, target.ring(self.tag).clip(self.packed))
 
     def __str__(self):
         from . import blocks
@@ -527,7 +753,10 @@ class SeriesElem:
 
 
 def validate_frame(frame):
-    """Check every frame invariant; returns a list of violation strings."""
+    """Check every frame invariant; returns a list of violation strings.
+
+    a*e <= MAX_UCAP holds already: Frame refuses to be built without it.
+    """
     errors = []
     f = frame
     if f.p < 3:
@@ -551,8 +780,6 @@ def validate_frame(frame):
         errors.append("L must be >= 1")
     if f.D < 0:
         errors.append("D must be >= 0")
-    if f.a * f.e > MAX_UCAP:
-        errors.append("a*e exceeds the configured u-cap")
     if errors:
         return errors
 

@@ -14,57 +14,46 @@ convergence detection is needed.
 from __future__ import annotations
 
 from . import matrices as mx
-from .series import FrameMismatchError, PrecisionError, SeriesElem, _Ring
+from .series import FrameMismatchError, PrecisionError, SeriesElem
 
 
 class HypothesisError(ValueError):
     """The two windows do not agree modulo u^e."""
 
 
-def _cring(frame, boost=0):
-    key = ("T", boost)
-    ring = frame._cache.get(key)
-    if ring is None:
-        ring = _Ring(frame.p, frame.r, frame.D, frame.e, frame.p ** (frame.N + boost))
-        frame._cache[key] = ring
-    return ring
-
-
-def _absorb(ring, tbl, e, p):
-    """Split a raw table into u^e-bands: band m carries a factor p^m."""
-    out = {}
-    for key, c in tbl.items():
-        m, jr = divmod(key[-1], e)
-        k2 = key[:-1] + (jr,)
-        tgt = out.setdefault(m, {})
-        tgt[k2] = tgt.get(k2, 0) + c * p**m
-    return {m: ring.norm(t) for m, t in out.items()}
-
-
 class TElem:
-    """Element of T_a in canonical form: a v-coefficient vector."""
+    """Element of T_a in canonical form: a vector of v-coefficient bands.
 
-    __slots__ = ("frame", "level", "coeffs")
+    bands[i] is the packed table (frame layout) of the v^i coefficient,
+    with u-degree < e and residues mod p^N; coeffs is the same vector
+    keyed by exponent tuples.  The bands use the frame's S-ring kernel
+    for the coefficient-wise operations.
+    """
 
-    def __init__(self, frame, level, coeffs):
-        ring = _cring(frame)
-        coeffs = list(coeffs) + [{}] * (level - len(coeffs))
+    __slots__ = ("frame", "level", "bands")
+
+    def __init__(self, frame, level, bands):
+        bands = tuple(bands)[:level]
         self.frame = frame
         self.level = level
-        self.coeffs = tuple(ring.norm(t) for t in coeffs[:level])
+        self.bands = bands + ({},) * (level - len(bands))
+
+    @property
+    def coeffs(self):
+        unpack = self.frame.layout.unpack_table
+        return tuple(unpack(t) for t in self.bands)
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def const(cls, frame, level, n):
-        return cls(frame, level, [{(0,) * (frame.r + 1): n}])
+        return cls(frame, level, [frame.ring("S").const(n)])
 
     @classmethod
     def v(cls, frame, level, power=1):
         if power >= level:
             return cls(frame, level, [])
-        coeffs = [{} for _ in range(power)] + [{(0,) * (frame.r + 1): 1}]
-        return cls(frame, level, coeffs)
+        return cls(frame, level, [{}] * power + [{0: 1}])
 
     @classmethod
     def embed(cls, x, level):
@@ -74,12 +63,7 @@ class TElem:
         frame = x.frame
         if frame.a < level:
             raise ValueError("series level too low for the requested v-level")
-        ring = _cring(frame)
-        out = [{} for _ in range(level)]
-        for m, band in _absorb(ring, x.coeffs, frame.e, frame.p).items():
-            if m < level:
-                out[m] = band
-        return cls(frame, level, out)
+        return cls(frame, level, frame.ring("S").to_bands([x.packed], level))
 
     def zero(self):
         return TElem(self.frame, self.level, [])
@@ -97,18 +81,18 @@ class TElem:
         if isinstance(other, int):
             other = TElem.const(self.frame, self.level, other)
         self._check(other)
-        ring = _cring(self.frame)
+        ring = self.frame.ring("S")
         return TElem(
             self.frame,
             self.level,
-            [ring.add(a, b) for a, b in zip(self.coeffs, other.coeffs)],
+            [ring.add(a, b) for a, b in zip(self.bands, other.bands)],
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        ring = _cring(self.frame)
-        return TElem(self.frame, self.level, [ring.neg(t) for t in self.coeffs])
+        ring = self.frame.ring("S")
+        return TElem(self.frame, self.level, [ring.neg(t) for t in self.bands])
 
     def __sub__(self, other):
         return self + (-other)
@@ -117,35 +101,11 @@ class TElem:
         return (-self) + other
 
     def __mul__(self, other):
+        ring = self.frame.ring("S")
         if isinstance(other, int):
-            ring = _cring(self.frame)
-            return TElem(
-                self.frame, self.level, [ring.scal(t, other) for t in self.coeffs]
-            )
+            return TElem(self.frame, self.level, [ring.scal(t, other) for t in self.bands])
         self._check(other)
-        frame = self.frame
-        ring = _cring(frame)
-        e, p, lvl = frame.e, frame.p, self.level
-        acc = [{} for _ in range(lvl)]
-        for i, ci in enumerate(self.coeffs):
-            if not ci:
-                continue
-            for j, dj in enumerate(other.coeffs):
-                if not dj or i + j >= lvl:
-                    continue
-                prod = ring.mul_raw(ci, dj)
-                tgt = acc[i + j]
-                for k, c in prod.items():
-                    tgt[k] = tgt.get(k, 0) + c
-        out = []
-        carry = {}
-        for k in range(lvl):
-            cur = ring.add(acc[k], carry)
-            lo = {key: c for key, c in cur.items() if key[-1] < e}
-            hi = {key[:-1] + (key[-1] - e,): c for key, c in cur.items() if key[-1] >= e}
-            out.append(lo)
-            carry = ring.scal(hi, p)
-        return TElem(frame, lvl, out)
+        return TElem(self.frame, self.level, ring.band_mul(self.bands, other.bands))
 
     __rmul__ = __mul__
 
@@ -166,18 +126,18 @@ class TElem:
         return (
             self.frame == other.frame
             and self.level == other.level
-            and self.coeffs == other.coeffs
+            and self.bands == other.bands
         )
 
     __hash__ = None
 
     def is_zero(self):
-        return all(not t for t in self.coeffs)
+        return all(not t for t in self.bands)
 
     def constant_term(self):
-        if not self.coeffs:
+        if not self.bands:
             return 0
-        return self.coeffs[0].get((0,) * (self.frame.r + 1), 0)
+        return self.bands[0].get(0, 0)
 
     def is_unit(self):
         return self.constant_term() % self.frame.p != 0
@@ -197,28 +157,7 @@ class TElem:
 
     def sigma(self):
         """sigma on coefficients plus v -> p^(p-1) v^p."""
-        frame = self.frame
-        ring = _cring(frame)
-        p, e, lvl = frame.p, frame.e, self.level
-        out = [{} for _ in range(lvl)]
-        for i, ci in enumerate(self.coeffs):
-            if not ci:
-                continue
-            mapped = {}
-            for key, c in ci.items():
-                k2 = tuple(a * p for a in key)
-                if sum(k2[:-1]) > frame.D:
-                    continue
-                mapped[k2] = mapped.get(k2, 0) + c
-            scale = p ** ((p - 1) * i)
-            for m, band in _absorb(ring, ring.norm(mapped), e, p).items():
-                vexp = p * i + m
-                if vexp >= lvl:
-                    continue
-                tgt = out[vexp]
-                for k, c in ring.scal(band, scale).items():
-                    tgt[k] = tgt.get(k, 0) + c
-        return TElem(frame, lvl, out)
+        return TElem(self.frame, self.level, self.frame.ring("S").band_sigma(self.bands))
 
     def series_preimage(self):
         """A series-ring preimage under the canonical embedding, or None.
@@ -229,15 +168,14 @@ class TElem:
         frame = self.frame
         if frame.a < self.level:
             raise ValueError("series level too low to host a preimage")
-        p = frame.p
+        ring = frame.ring("S")
         tbl = {}
-        for i, ci in enumerate(self.coeffs):
-            q = p**i
-            for key, c in ci.items():
-                if c % q:
-                    return None
-                tbl[key[:-1] + (key[-1] + i * frame.e,)] = c // q
-        cand = frame.elem(tbl)
+        for i, band in enumerate(self.bands):
+            try:
+                tbl.update(ring.shift_u(ring.div_exact_ppow(band, i), i * frame.e))
+            except PrecisionError:
+                return None
+        cand = SeriesElem(frame, "S", tbl)
         if TElem.embed(cand, self.level) != self:
             return None
         return cand
@@ -342,11 +280,11 @@ def solve_iso(w1, w2, level=None):
     G = mx.mmul(mx.inv(w2.A), w1.A)
     ident_s = mx.identity(n, frame.one())
     Gm = mx.msub(G, ident_s)
-    for row in Gm:
-        for x in row:
-            if any(k[-1] < e for k in x.coeffs):
-                raise HypothesisError("A2^(-1)*A1 is not congruent to I modulo u^e")
-    Z = mx.mmap(Gm, lambda x: frame.elem({k[:-1] + (k[-1] - e,): v for k, v in x.coeffs.items()}))
+    ring = frame.ring("S")
+    try:
+        Z = mx.mmap(Gm, lambda x: SeriesElem(frame, "S", ring.shift_u(x.packed, -e)))
+    except ValueError:
+        raise HypothesisError("A2^(-1)*A1 is not congruent to I modulo u^e") from None
 
     emb = lambda M: mx.mmap(M, lambda x: TElem.embed(x, level))
     A1T, A2T, ZT = emb(w1.A), emb(w2.A), emb(Z)
@@ -379,8 +317,8 @@ def solve_iso(w1, w2, level=None):
         raise PrecisionError("solver residual is nonzero")
     for i in range(n):
         for j in range(n):
-            lead = X[i][j].coeffs[0]
-            expect = {(0,) * (frame.r + 1): 1} if i == j else {}
+            lead = X[i][j].bands[0]
+            expect = {0: 1} if i == j else {}
             if lead != expect:
                 raise PrecisionError("X is not congruent to I modulo v")
     return X

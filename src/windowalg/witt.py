@@ -21,7 +21,15 @@ once up front if several threads will share a frame.
 
 from __future__ import annotations
 
-from .series import Frame, FrameMismatchError, PrecisionError, SeriesElem, _Ring
+from functools import lru_cache
+
+from .series import Frame, FrameMismatchError, PrecisionError, SeriesElem, _Kernel, _layout, _Ring
+
+
+@lru_cache(maxsize=64)
+def _zring(p, pmod):
+    """The kernel of integer Witt components (tables {0: c}), one per (p, modulus)."""
+    return _Kernel(_layout(0, 0), p, 0, 1, pmod)
 
 
 def _solve_ghost(ring, ghosts, p):
@@ -104,19 +112,18 @@ class WittVec:
         if self.tag in ("S", "R"):
             return self.frame.ring(self.tag, boost)
         exp = self.pexp
-        pmod = None if exp is None else self.p ** (exp + boost)
-        return _Ring(self.p, 0, 0, 1, pmod)
+        return _zring(self.p, None if exp is None else self.p ** (exp + boost))
 
     def _tables(self):
         if self.tag == "Z":
-            return [{(0,): c} if c else {} for c in self.comps]
-        return [dict(c.coeffs) for c in self.comps]
+            return [{0: c} if c else {} for c in self.comps]
+        return [c.packed for c in self.comps]
 
     def _rewrap(self, tables, length=None):
         ring = self._ring()
         tables = [ring.norm(t) for t in tables]
         if self.tag == "Z":
-            comps = [t.get((0,), 0) for t in tables]
+            comps = [t.get(0, 0) for t in tables]
             return WittVec("Z", comps, p=self.p, pexp=self.pexp)
         comps = [SeriesElem(self.frame, self.tag, t) for t in tables]
         return WittVec(self.tag, comps, frame=self.frame)
@@ -222,7 +229,7 @@ def ghost(x):
     ring = x._ring()
     out = _ghosts_of(ring, x._tables(), len(x.comps), x.p)
     if x.tag == "Z":
-        return [t.get((0,), 0) for t in out]
+        return [t.get(0, 0) for t in out]
     return [SeriesElem(x.frame, x.tag, t) for t in out]
 
 
@@ -250,7 +257,7 @@ def delta(x, length=None):
     frame = x.frame
     length = frame.L if length is None else length
     ring = frame.ring("S", boost=length - 1)
-    ghosts = [ring.norm(dict(x.coeffs))]
+    ghosts = [ring.norm(x.packed)]
     for _ in range(length - 1):
         ghosts.append(ring.sigma(ghosts[-1]))
     comps = _solve_ghost(ring, ghosts, frame.p)

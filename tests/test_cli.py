@@ -194,3 +194,37 @@ row = 4
     code, out = run_cli(capsys, ["solve-iso", path, "--machine"])
     assert code == 1
     assert "not congruent to I" in out
+
+
+def test_window_level_past_the_u_cap_is_refused(capsys, tmp_path):
+    job = FRAME + "\n[window]\na = 99999\nd = 1\nc = 0\nrow = 1\n"
+    path = write(tmp_path, "cap.txt", job)
+    code, out = run_cli(capsys, ["validate", path, "--machine"])
+    assert code == 1
+    assert out == (
+        "frame = valid\nerror = a*e exceeds the configured u-cap\nwindow1 = invalid\n"
+    )
+    code, out = run_cli(capsys, ["display", path, "--machine"])
+    assert code == 1
+    assert out == "error = a*e exceeds the configured u-cap\n"
+
+
+def test_frame_past_the_u_cap_is_invalid(capsys, tmp_path):
+    path = write(tmp_path, "fcap.txt", FRAME.replace("a = 3", "a = 5000"))
+    code, out = run_cli(capsys, ["validate", path, "--machine"])
+    assert code == 1
+    assert out == "error = a*e exceeds the configured u-cap\nframe = invalid\n"
+
+
+def test_missing_input_file_is_an_error_line(capsys, tmp_path):
+    path = str(tmp_path / "absent.txt")
+    code, out = run_cli(capsys, ["solve-iso", path, "--machine"])
+    assert code == 1
+    assert out == "error = [Errno 2] No such file or directory: %r\n" % path
+    proc = subprocess.run(
+        [sys.executable, "-m", "windowalg.cli", "display", path, "--machine"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout.startswith("error = ") and proc.stderr == ""
