@@ -8,9 +8,7 @@ polynomial grammar over the variables u, t1..tr accepts integers, + - *
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .series import _Kernel, _layout
+from .series import _Kernel, _Layout
 
 
 class ParseError(ValueError):
@@ -67,7 +65,8 @@ class _PolyParser:
         self.tokens = tokens
         self.pos = 0
         self.r = r
-        self.ring = _parse_ring(r)
+        # exact integer polynomials in u, t1..tr with no caps
+        self.ring = _Kernel(_Layout(r, None), None, None, None, None)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -149,12 +148,6 @@ class _PolyParser:
                 self.fail("variable %s out of range (r = %d)" % (tok[1], self.r), tok)
             self.fail("unknown variable %r" % tok[1], tok)
         self.fail("expected a polynomial atom", tok)
-
-
-@lru_cache(maxsize=16)
-def _parse_ring(r):
-    """Exact integer polynomials in u, t1..tr with no caps."""
-    return _Kernel(_layout(r, None), None, None, None, None)
 
 
 def parse_poly(text, r, line=1):

@@ -33,7 +33,7 @@ so elements and frames are safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 # Hard ceiling on a*e so level changes (lifting, rigidity at level a*p)
 # cannot silently explode table sizes; it also sizes the packed u-field.
@@ -103,11 +103,6 @@ class _Layout:
 
     def unpack_table(self, tbl):
         return {self.unpack(k): c for k, c in tbl.items()}
-
-
-@lru_cache(maxsize=64)
-def _layout(r, D):
-    return _Layout(r, D)
 
 
 class _Kernel:
@@ -355,15 +350,26 @@ class _Kernel:
         return out
 
     def band_sigma(self, fs):
-        """sigma on coefficients plus v -> p^(p-1) v^p; a key passes the
-        t-cap when p times its total t-degree does, and raising it to the
-        p-th power multiplies every field by p."""
-        p, ts, tdeg, level = self.p, self.layout.ts, self.tdeg, len(fs)
-        raw = [{} for _ in range(level)]
+        """sigma on coefficients plus v -> p^(p-1) v^p.
+
+        A key passes the t-cap when p times its total t-degree does, and
+        then its t-fields scale by p without carries.  Its u-degree j < e
+        is folded first, u^(j*p) = p^m u^(j*p - m*e) v^m, because j*p
+        itself can exceed the u-field.
+        """
+        p, e, tdeg, level = self.p, self.e, self.tdeg, len(fs)
+        ts, um = self.layout.ts, self.layout.umask
+        out = [{} for _ in range(level)]
         for i, fi in enumerate(fs[: (level - 1) // p + 1]):
-            scale = p ** ((p - 1) * i)
-            raw[p * i] = {k * p: c * scale for k, c in fi.items() if (k >> ts) * p <= tdeg}
-        return self.to_bands(raw, level)
+            for k, c in fi.items():
+                if (k >> ts) * p > tdeg:
+                    continue
+                u = k & um
+                m, j = divmod(u * p, e)
+                if p * i + m < level:
+                    # sigma is injective on monomials: no two keys meet
+                    out[p * i + m][(k - u) * p + j] = c * p ** ((p - 1) * i + m)
+        return [self.norm(t) for t in out]
 
     def const_term(self, f):
         return f.get(0, 0)
@@ -417,7 +423,7 @@ class _Ring:
     """
 
     def __init__(self, p, r, tdeg, ucap, pmod):
-        self.kernel = _Kernel(_layout(r, tdeg), p, tdeg, ucap, pmod)
+        self.kernel = _Kernel(_Layout(r, tdeg), p, tdeg, ucap, pmod)
 
     def __getattr__(self, name):
         method = getattr(self.kernel, name)
@@ -492,7 +498,7 @@ class Frame:
     @cached_property
     def layout(self):
         """The packed-monomial layout shared by every ring of the frame."""
-        return _layout(self.r, self.D)
+        return _Layout(self.r, self.D)
 
     @cached_property
     def _E_tail(self):

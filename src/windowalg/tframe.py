@@ -32,11 +32,26 @@ class TElem:
 
     __slots__ = ("frame", "level", "bands")
 
-    def __init__(self, frame, level, bands):
+    def __init__(self, frame, level, coeffs):
+        """Element from v-coefficient tables keyed by exponent tuples.
+
+        Keys that do not fit the frame layout are refused; terms past the
+        caps are dropped, u^e becomes p*v and residues are taken mod p^N.
+        """
+        ring = frame.ring("S")
+        self.frame = frame
+        self.level = level
+        self.bands = tuple(ring.to_bands([ring.pack(t) for t in coeffs], level))
+
+    @classmethod
+    def _from_bands(cls, frame, level, bands):
+        """Element from canonical packed bands, taken as they are."""
+        self = cls.__new__(cls)
         bands = tuple(bands)[:level]
         self.frame = frame
         self.level = level
         self.bands = bands + ({},) * (level - len(bands))
+        return self
 
     @property
     def coeffs(self):
@@ -47,13 +62,13 @@ class TElem:
 
     @classmethod
     def const(cls, frame, level, n):
-        return cls(frame, level, [frame.ring("S").const(n)])
+        return cls._from_bands(frame, level, [frame.ring("S").const(n)])
 
     @classmethod
     def v(cls, frame, level, power=1):
         if power >= level:
-            return cls(frame, level, [])
-        return cls(frame, level, [{}] * power + [{0: 1}])
+            return cls._from_bands(frame, level, [])
+        return cls._from_bands(frame, level, [{}] * power + [{0: 1}])
 
     @classmethod
     def embed(cls, x, level):
@@ -63,10 +78,10 @@ class TElem:
         frame = x.frame
         if frame.a < level:
             raise ValueError("series level too low for the requested v-level")
-        return cls(frame, level, frame.ring("S").to_bands([x.packed], level))
+        return cls._from_bands(frame, level, frame.ring("S").to_bands([x.packed], level))
 
     def zero(self):
-        return TElem(self.frame, self.level, [])
+        return TElem._from_bands(self.frame, self.level, [])
 
     def one(self):
         return TElem.const(self.frame, self.level, 1)
@@ -82,7 +97,7 @@ class TElem:
             other = TElem.const(self.frame, self.level, other)
         self._check(other)
         ring = self.frame.ring("S")
-        return TElem(
+        return TElem._from_bands(
             self.frame,
             self.level,
             [ring.add(a, b) for a, b in zip(self.bands, other.bands)],
@@ -92,7 +107,7 @@ class TElem:
 
     def __neg__(self):
         ring = self.frame.ring("S")
-        return TElem(self.frame, self.level, [ring.neg(t) for t in self.bands])
+        return TElem._from_bands(self.frame, self.level, [ring.neg(t) for t in self.bands])
 
     def __sub__(self, other):
         return self + (-other)
@@ -103,9 +118,10 @@ class TElem:
     def __mul__(self, other):
         ring = self.frame.ring("S")
         if isinstance(other, int):
-            return TElem(self.frame, self.level, [ring.scal(t, other) for t in self.bands])
+            bands = [ring.scal(t, other) for t in self.bands]
+            return TElem._from_bands(self.frame, self.level, bands)
         self._check(other)
-        return TElem(self.frame, self.level, ring.band_mul(self.bands, other.bands))
+        return TElem._from_bands(self.frame, self.level, ring.band_mul(self.bands, other.bands))
 
     __rmul__ = __mul__
 
@@ -157,7 +173,8 @@ class TElem:
 
     def sigma(self):
         """sigma on coefficients plus v -> p^(p-1) v^p."""
-        return TElem(self.frame, self.level, self.frame.ring("S").band_sigma(self.bands))
+        bands = self.frame.ring("S").band_sigma(self.bands)
+        return TElem._from_bands(self.frame, self.level, bands)
 
     def series_preimage(self):
         """A series-ring preimage under the canonical embedding, or None.
@@ -237,7 +254,7 @@ class TWindow:
 def _c_matrix(frame, level, d, c):
     E = TElem.embed(frame.E, level)
     one = TElem.const(frame, level, 1)
-    zero = TElem(frame, level, [])
+    zero = TElem._from_bands(frame, level, [])
     n = d + c
     return tuple(
         tuple((E if i < d else one) if i == j else zero for j in range(n))
@@ -250,7 +267,7 @@ def _pc_inverse(frame, level, d, c):
     veps = TElem.v(frame, level) + TElem.embed(frame.epsilon, level)
     vinv = veps.invert()
     pone = TElem.const(frame, level, frame.p)
-    zero = TElem(frame, level, [])
+    zero = TElem._from_bands(frame, level, [])
     n = d + c
     return tuple(
         tuple((vinv if i < d else pone) if i == j else zero for j in range(n))
@@ -301,7 +318,7 @@ def solve_iso(w1, w2, level=None):
         out = mx.mmul(pCinv, mx.mmul(A2T_inv, mx.mmul(sig, mx.mmul(A1T, CT))))
         return mx.mscal(out, s)
 
-    zero_t = TElem(frame, level, [])
+    zero_t = TElem._from_bands(frame, level, [])
     Y = mx.zeros(n, n, zero_t)
     term = D
     for _ in range(level):

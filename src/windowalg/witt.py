@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .series import Frame, FrameMismatchError, PrecisionError, SeriesElem, _Kernel, _layout, _Ring
+from .series import Frame, FrameMismatchError, PrecisionError, SeriesElem, _Kernel, _Layout, _Ring
 
 
 @lru_cache(maxsize=64)
 def _zring(p, pmod):
     """The kernel of integer Witt components (tables {0: c}), one per (p, modulus)."""
-    return _Kernel(_layout(0, 0), p, 0, 1, pmod)
+    return _Kernel(_Layout(0, 0), p, 0, 1, pmod)
 
 
 def _solve_ghost(ring, ghosts, p):

@@ -159,22 +159,51 @@ def t_elements(draw, frame, level):
     return bands
 
 
-def t_pair(name):
-    f = FRAMES[name]
+# p*(e - 1) exceeds the packed u-field (2*MAX_UCAP - 1) on these frames,
+# so sigma must fold u-degrees before it scales them.
+WIDE_SIGMA = {
+    "p3-e4000": Frame.make(3, 0, 4000, 1, 3, 2, 2, "u^4000 + 3"),
+    "p8209-e20": Frame.make(8209, 1, 20, 3, 3, 2, 2, "u^20 + 8209"),
+}
+
+
+def t_pair(f):
     level = min(f.a, 3)
     return st.tuples(t_elements(f, level), t_elements(f, level)).map(
         lambda xy: (f, level, xy[0], xy[1])
     )
 
 
+T_FRAMES = [FRAMES["r0"], FRAMES["r3"], *WIDE_SIGMA.values()]
+
+
 @PROPS
-@given(st.one_of(t_pair("r0"), t_pair("r3")))
+@given(st.one_of(*(t_pair(f) for f in T_FRAMES)))
 def test_T_product_is_embedded_series_product(case):
     f, level, xb, yb = case
-    X = TElem(f, level, [f.layout.pack_table(b) for b in xb])
-    Y = TElem(f, level, [f.layout.pack_table(b) for b in yb])
+    X, Y = TElem(f, level, xb), TElem(f, level, yb)
     assert X.coeffs == tuple(xb)
     x, y = X.series_preimage(), Y.series_preimage()
     assert x is not None and y is not None
     assert X * Y == TElem.embed(x * y, level)
     assert X.sigma() == TElem.embed(x.frobenius(), level)
+
+
+def test_T_sigma_keeps_scaled_u_degrees_inside_the_u_field():
+    f = WIDE_SIGMA["p3-e4000"]
+    x = f.u(3000) + f.u(1000)  # u^9000 vanishes, u^3000 stays in band 0
+    X = TElem.embed(x, 1)
+    assert X.sigma() == TElem.embed(x.frobenius(), 1) == TElem.embed(f.u(3000), 1)
+    g = WIDE_SIGMA["p8209-e20"]
+    y = g.u(19) + g.t(1) * g.u() + g.one()
+    assert TElem.embed(y, 3).sigma() == TElem.one(TElem.embed(y, 3))
+
+
+def test_T_constructor_takes_tuple_keyed_tables():
+    f = FRAMES["r0"]
+    p, e, N = f.p, f.e, f.N
+    X = TElem(f, 3, [{(e + 1,): 1, (0,): p**N + 2}])
+    assert X.coeffs == ({(0,): 2}, {(1,): p}, {})
+    assert X == TElem.embed(f.u(e + 1) + 2, 3)
+    with pytest.raises(TypeError):
+        TElem(f, 3, [{1: 1}])
