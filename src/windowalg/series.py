@@ -23,8 +23,9 @@ one mask and one compare.  Every ring of a frame (S, R, boosted, exact,
 and the T-ring of tframe) shares the layout, and the layout does not
 depend on the level, so moving a table between rings never repacks.
 Tables keyed by exponent tuples (alpha_1, .., alpha_r, j) remain the
-outside view: Frame.elem takes them, SeriesElem.coeffs and TElem.coeffs
-return them, and the parser and renderer work with them.
+outside view: Frame.elem and the TElem constructor take them,
+SeriesElem.coeffs and TElem.coeffs return them, and the parser and
+renderer work with them.
 
 Values are immutable after construction and all operations are pure,
 so elements and frames are safe to share between threads.
