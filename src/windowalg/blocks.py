@@ -153,6 +153,8 @@ class _PolyParser:
 def parse_poly(text, r, line=1):
     """Parse an integer polynomial in u, t1..tr into a table keyed by
     exponent tuples (t1, .., tr, u)."""
+    if r < 0:  # keys hold r t-exponents before u; refused before parsing
+        raise ValueError("r must be >= 0")
     return _PolyParser(_tokenize(text, line), r).parse()
 
 

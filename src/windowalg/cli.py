@@ -84,37 +84,49 @@ class Emitter:
         sys.stdout.write("\n".join(self.lines) + "\n")
 
 
-def cmd_validate(spec, out):
-    errors = []
-    frame = None
-    frame_errors = []
+class FrameError(ValueError):
+    """The job's frame is refused; args holds one message per violation."""
+
+
+def _frame(spec):
+    """The job's frame, checked against every frame invariant."""
     try:
         frame = blk.build_frame(spec.frame_block)
-        frame_errors = validate_frame(frame)
     except blk.ParseError:
         raise
     except ValueError as err:  # a frame the library refuses to build
-        frame_errors = [str(err)]
-    for msg in frame_errors:
-        out.fact("error", msg)
-        errors.append(msg)
-    out.fact("frame", "invalid" if frame_errors else "valid")
-    if frame is not None and not frame_errors:
-        for idx, wb in enumerate(spec.windows, start=1):
-            try:
-                blk.build_window(frame, wb)
-                out.fact("window%d" % idx, "valid")
-            except blk.ParseError:
-                raise
-            except (ValueError, DecompositionError) as err:
-                out.fact("error", str(err))
-                out.fact("window%d" % idx, "invalid")
-                errors.append(str(err))
-    return 1 if errors else 0
+        raise FrameError(str(err)) from None
+    errors = validate_frame(frame)
+    if errors:
+        raise FrameError(*errors)
+    return frame
+
+
+def cmd_validate(spec, out):
+    try:
+        frame = _frame(spec)
+    except FrameError as err:
+        for msg in err.args:
+            out.fact("error", msg)
+        out.fact("frame", "invalid")
+        return 1
+    out.fact("frame", "valid")
+    code = 0
+    for idx, wb in enumerate(spec.windows, start=1):
+        try:
+            blk.build_window(frame, wb)
+            out.fact("window%d" % idx, "valid")
+        except blk.ParseError:
+            raise
+        except (ValueError, DecompositionError) as err:
+            out.fact("error", str(err))
+            out.fact("window%d" % idx, "invalid")
+            code = 1
+    return code
 
 
 def cmd_special_fiber(spec, out):
-    frame = blk.build_frame(spec.frame_block)
+    frame = _frame(spec)
     _require_windows(spec, 1)
     w = blk.build_window(frame, spec.windows[0])
     fiber = special_fiber(w)
@@ -129,7 +141,7 @@ def cmd_special_fiber(spec, out):
 
 
 def cmd_display(spec, out):
-    frame = blk.build_frame(spec.frame_block)
+    frame = _frame(spec)
     _require_windows(spec, 1)
     w = blk.build_window(frame, spec.windows[0])
     D = to_display(w)
@@ -146,7 +158,7 @@ def cmd_display(spec, out):
 
 
 def cmd_solve_iso(spec, out):
-    frame = blk.build_frame(spec.frame_block)
+    frame = _frame(spec)
     _require_windows(spec, 2)
     w1 = blk.build_window(frame, spec.windows[0])
     w2 = blk.build_window(frame, spec.windows[1])
@@ -164,7 +176,7 @@ def cmd_solve_iso(spec, out):
 
 
 def cmd_module(spec, out):
-    frame = blk.build_frame(spec.frame_block)
+    frame = _frame(spec)
     _require_windows(spec, 2)
     if spec.matrix is None:
         raise blk.ParseError("command 'module' needs a [matrix] block", 1, 1)
@@ -187,7 +199,7 @@ def cmd_module(spec, out):
 
 
 def cmd_nu(spec, out):
-    frame = blk.build_frame(spec.frame_block)
+    frame = _frame(spec)
     out.fact("nu", nu(frame.a, frame.p))
     return 0
 
@@ -234,8 +246,9 @@ def main(argv=None):
         out.fact("parse_error", str(err))
         out.flush()
         return 2
-    except (DecompositionError, IsogenyError, ValueError, OSError) as err:
-        out.fact("error", str(err))
+    except (DecompositionError, IsogenyError, ValueError, OSError, ArithmeticError) as err:
+        for msg in err.args if isinstance(err, FrameError) else [str(err)]:
+            out.fact("error", msg)
         out.flush()
         return 1
     out.flush()

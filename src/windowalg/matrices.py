@@ -15,13 +15,15 @@ def mat(rows):
     return tuple(tuple(row) for row in rows)
 
 
-def dim(M):
-    return len(M)
+def diag(entries):
+    """Square diagonal matrix; entries must be nonempty (zero comes from them)."""
+    zero = entries[0].zero()
+    n = len(entries)
+    return tuple(tuple(x if i == j else zero for j in range(n)) for i, x in enumerate(entries))
 
 
 def identity(n, one):
-    zero = one.zero()
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+    return diag([one] * n)
 
 
 def zeros(n, m, zero):

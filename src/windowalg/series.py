@@ -479,17 +479,6 @@ class Frame:
     def at_level(self, a):
         return replace(self, a=a)
 
-    def same_base(self, other):
-        return (
-            self.p == other.p
-            and self.r == other.r
-            and self.e == other.e
-            and self.N == other.N
-            and self.D == other.D
-            and self.L == other.L
-            and self.E_items == other.E_items
-        )
-
     # -- derived data ---------------------------------------------------
 
     @cached_property
@@ -686,10 +675,6 @@ class SeriesElem:
 
     def constant_term(self):
         return self._ring().const_term(self.packed)
-
-    def u_degree(self):
-        um = self.frame.layout.umask
-        return max((k & um for k in self.packed), default=-1)
 
     def is_unit(self):
         return self._ring().is_unit(self.packed)

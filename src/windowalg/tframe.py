@@ -125,17 +125,6 @@ class TElem:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        result = self.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            if n > 1:
-                base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other):
         if not isinstance(other, TElem):
             return NotImplemented
@@ -252,27 +241,13 @@ class TWindow:
 
 
 def _c_matrix(frame, level, d, c):
-    E = TElem.embed(frame.E, level)
-    one = TElem.const(frame, level, 1)
-    zero = TElem._from_bands(frame, level, [])
-    n = d + c
-    return tuple(
-        tuple((E if i < d else one) if i == j else zero for j in range(n))
-        for i in range(n)
-    )
+    return mx.diag([TElem.embed(frame.E, level)] * d + [TElem.const(frame, level, 1)] * c)
 
 
 def _pc_inverse(frame, level, d, c):
     """p*C^(-1) = blockdiag((v+eps)^(-1) I_d, p I_c); E = p(v+eps)."""
     veps = TElem.v(frame, level) + TElem.embed(frame.epsilon, level)
-    vinv = veps.invert()
-    pone = TElem.const(frame, level, frame.p)
-    zero = TElem._from_bands(frame, level, [])
-    n = d + c
-    return tuple(
-        tuple((vinv if i < d else pone) if i == j else zero for j in range(n))
-        for i in range(n)
-    )
+    return mx.diag([veps.invert()] * d + [TElem.const(frame, level, frame.p)] * c)
 
 
 def solve_iso(w1, w2, level=None):
@@ -294,7 +269,8 @@ def solve_iso(w1, w2, level=None):
     n = d + c
     e = frame.e
 
-    G = mx.mmul(mx.inv(w2.A), w1.A)
+    A2_inv = mx.inv(w2.A)
+    G = mx.mmul(A2_inv, w1.A)
     ident_s = mx.identity(n, frame.one())
     Gm = mx.msub(G, ident_s)
     ring = frame.ring("S")
@@ -304,10 +280,10 @@ def solve_iso(w1, w2, level=None):
         raise HypothesisError("A2^(-1)*A1 is not congruent to I modulo u^e") from None
 
     emb = lambda M: mx.mmap(M, lambda x: TElem.embed(x, level))
-    A1T, A2T, ZT = emb(w1.A), emb(w2.A), emb(Z)
+    # embedding is a ring map, so it carries A2^(-1) to the inverse over T
+    A1T, A2T_inv, ZT = emb(w1.A), emb(A2_inv), emb(Z)
     CT = _c_matrix(frame, level, d, c)
     pCinv = _pc_inverse(frame, level, d, c)
-    A2T_inv = mx.inv(A2T)
 
     D = mx.mmul(pCinv, mx.mmul(ZT, CT))
     # v * u^(e(p-2)) = p^(p-2) * v^(p-1)
@@ -328,9 +304,7 @@ def solve_iso(w1, w2, level=None):
     vx = TElem.v(frame, level)
     X = mx.madd(mx.identity(n, TElem.const(frame, level, 1)), mx.mscal(Y, vx))
 
-    lhs = mx.mmul(A2T, mx.mmul(CT, X))
-    rhs = mx.mmul(mx.mmap(X, lambda x: x.sigma()), mx.mmul(A1T, CT))
-    if not mx.meq(lhs, rhs):
+    if not mx.is_zero(residual(w1, w2, X, level)):
         raise PrecisionError("solver residual is nonzero")
     for i in range(n):
         for j in range(n):

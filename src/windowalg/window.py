@@ -34,14 +34,7 @@ class Window:
         return self.d + self.c
 
     def C_matrix(self):
-        E = self.frame.E
-        one = self.frame.one()
-        zero = self.frame.zero()
-        n = self.height
-        return tuple(
-            tuple((E if i < self.d else one) if i == j else zero for j in range(n))
-            for i in range(n)
-        )
+        return mx.diag([self.frame.E] * self.d + [self.frame.one()] * self.c)
 
     def phi_matrix(self):
         return mx.mmul(self.A, self.C_matrix())
@@ -321,23 +314,6 @@ def vanishing_hom_dim(w1, w2, sub_a):
     return len(columns) - rank
 
 
-def _int_inv_modp(M, p):
-    n = len(M)
-    aug = [[M[i][j] % p for j in range(n)] + [1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] % p), None)
-        if piv is None:
-            raise ValueError("matrix not invertible mod p")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], -1, p)
-        aug[col] = [(x * inv) % p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(a - f * b) % p for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 class SpecialFiber:
     def __init__(self, height, dim, A0, Phi0, is_nilpotent):
         self.height = height
@@ -352,9 +328,10 @@ def special_fiber(w):
 
     Phi0 is blockdiag(I_d, E*I_c) * A^(-1) with t and u sent to zero;
     nilpotence uses the V-operator surrogate N0 = blockdiag(0_d, I_c) *
-    A0^(-1) mod p, raised to the height-th power.  The Frobenius twist
-    of each step is the identity on residues mod p (Fermat), so the
-    product needs no twisting.
+    A0^(-1) mod p, raised to the height-th power.  A0^(-1) is read off
+    the constant terms of A^(-1): sending t and u to zero is a ring map.
+    The Frobenius twist of each step is the identity on residues mod p
+    (Fermat), so the product needs no twisting.
     """
     frame = w.frame
     n = w.height
@@ -367,8 +344,7 @@ def special_fiber(w):
     )
     Phi0 = [[x.constant_term() % pmod for x in row] for row in scaled]
     p = frame.p
-    A0inv = _int_inv_modp(A0, p)
-    N0 = [[A0inv[i][j] % p if i >= w.d else 0 for j in range(n)] for i in range(n)]
+    N0 = [[x.constant_term() % p if i >= w.d else 0 for x in row] for i, row in enumerate(Ainv)]
     prod = [row[:] for row in N0]
     for _ in range(n - 1):
         prod = [

@@ -13,10 +13,6 @@ delta is the ring section with ghost components sigma^n(x); kappa is
 its composite with reduction mod E; tau is the unit with p*tau =
 kappa(sigma(E)), realized exactly as the Verschiebung shift of
 kappa(E) (component 0 of kappa(E) vanishes, and F(V(y)) = p*y).
-
-The tau and polynomial-table caches are write-once: entries are
-computed on first request and only read afterwards; call tau/witt_polys
-once up front if several threads will share a frame.
 """
 
 from __future__ import annotations
@@ -101,13 +97,6 @@ class WittVec:
         if len(self.comps) != len(other.comps):
             raise FrameMismatchError("Witt operands of different lengths")
 
-    def _nominal_exp(self):
-        if self.tag == "S":
-            return self.frame.N
-        if self.tag == "R":
-            return self.frame.rmod_exp()
-        return self.pexp
-
     def _ring(self, boost=0):
         if self.tag in ("S", "R"):
             return self.frame.ring(self.tag, boost)
@@ -119,7 +108,7 @@ class WittVec:
             return [{0: c} if c else {} for c in self.comps]
         return [c.packed for c in self.comps]
 
-    def _rewrap(self, tables, length=None):
+    def _rewrap(self, tables):
         ring = self._ring()
         tables = [ring.norm(t) for t in tables]
         if self.tag == "Z":
@@ -273,9 +262,7 @@ def kappa(x, length=None):
     return WittVec("R", [c.reduce_mod_E() for c in dv.comps], frame=frame)
 
 
-_TAU_CACHE = {}
-
-
+@lru_cache(maxsize=64)  # keyed by frame value: equal frames rebuilt per job still hit
 def tau(frame):
     """The unit with p*tau = kappa(sigma(E)).
 
@@ -284,9 +271,6 @@ def tau(frame):
     computed at Witt length L+1, which loses no precision.  The
     Frobenius identity is then verified at the stored modulus.
     """
-    cached = _TAU_CACHE.get(frame)
-    if cached is not None:
-        return cached
     kv = kappa(frame.E, length=frame.L + 1)
     if not kv.comps[0].is_zero():
         raise PrecisionError("kappa(E) has nonzero zeroth component")
@@ -297,7 +281,6 @@ def tau(frame):
         raise PrecisionError("p*tau failed to match kappa(sigma(E))")
     if not t.is_unit():
         raise PrecisionError("tau is not a unit; frame invariants violated")
-    _TAU_CACHE[frame] = t
     return t
 
 
@@ -352,14 +335,7 @@ class WittPolyTable:
         return acc
 
 
-_POLY_CACHE = {}
-
-
+@lru_cache(maxsize=16)
 def witt_polys(p, length):
     """Cached universal Witt polynomial table for (p, length)."""
-    key = (p, length)
-    table = _POLY_CACHE.get(key)
-    if table is None:
-        table = WittPolyTable(p, length)
-        _POLY_CACHE[key] = table
-    return table
+    return WittPolyTable(p, length)

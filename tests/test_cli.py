@@ -228,3 +228,45 @@ def test_missing_input_file_is_an_error_line(capsys, tmp_path):
     )
     assert proc.returncode == 1
     assert proc.stdout.startswith("error = ") and proc.stderr == ""
+
+
+def test_negative_r_is_refused_before_parsing(capsys, tmp_path):
+    job = FRAME.replace("r = 0", "r = -1") + "\n[window]\nd = 1\nc = 0\nrow = 1\n"
+    path = write(tmp_path, "r.txt", job)
+    code, out = run_cli(capsys, ["validate", path, "--machine"])
+    assert code == 1
+    assert out == "error = r must be >= 0\nframe = invalid\n"
+    for command in ("display", "special-fiber", "nu"):
+        code, out = run_cli(capsys, [command, path, "--machine"])
+        assert code == 1
+        assert out == "error = r must be >= 0\n"
+
+
+def test_every_command_checks_the_frame(capsys, tmp_path):
+    job = FRAME.replace("p = 3", "p = 4").replace("u + 3", "u + 4")
+    path = write(tmp_path, "p4.txt", job + "\n[window]\nd = 0\nc = 1\nrow = 1\n")
+    code, out = run_cli(capsys, ["display", path, "--machine"])
+    assert code == 1
+    assert out == "error = p is not prime\n"
+    path = write(tmp_path, "e9.txt", SOLVE_JOB.replace("u + 3", "u + 9"))
+    code, validated = run_cli(capsys, ["validate", path, "--machine"])
+    assert code == 1
+    assert validated == (
+        "error = a0/p is not a unit\n"
+        "error = epsilon = (E - u^e)/p is not a unit\n"
+        "frame = invalid\n"
+    )
+    code, out = run_cli(capsys, ["solve-iso", path, "--machine"])
+    assert code == 1
+    assert out == validated.replace("frame = invalid\n", "")
+
+
+def test_arithmetic_error_is_an_error_line(capsys, tmp_path, monkeypatch):
+    def refuse(a, p):
+        raise ZeroDivisionError("not a unit")
+
+    monkeypatch.setattr("windowalg.cli.nu", refuse)
+    path = write(tmp_path, "f.txt", FRAME)
+    code, out = run_cli(capsys, ["nu", path, "--machine"])
+    assert code == 1
+    assert out == "error = not a unit\n"

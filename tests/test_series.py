@@ -183,3 +183,8 @@ def test_frame_mismatch_raises():
         f.u() + g.u()
     with pytest.raises(FrameMismatchError):
         f.one() + f.one("R")
+
+
+def test_negative_r_is_refused_before_parsing_E():
+    with pytest.raises(ValueError, match="r must be >= 0"):
+        Frame.make(p=3, r=-1, e=1, a=3, N=6, D=4, L=2, E="u + 3")

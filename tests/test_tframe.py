@@ -297,3 +297,17 @@ def test_nu_inequality():
     for p in (3, 5, 7):
         for a in range(1, 51):
             assert nu(p * a, p) >= a + 1
+
+
+def test_inverse_commutes_with_the_embedding():
+    # solve_iso embeds the series inverse of A2 instead of inverting over T
+    from windowalg.rand import random_unit_matrix
+
+    rng = make_rng(511)
+    for f in (frame313(), frame_e2()):
+        for n in (1, 2, 3):
+            for _ in range(3):
+                A = random_unit_matrix(rng, f, n, terms=3)
+                for level in range(1, f.a + 1):
+                    emb = lambda M: mx.mmap(M, lambda x: TElem.embed(x, level))
+                    assert mx.meq(mx.inv(emb(A)), emb(mx.inv(A)))

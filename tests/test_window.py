@@ -251,3 +251,32 @@ def test_morphism_condition_is_exact_table_identity():
     lhs = mx.mmul(w2.phi_matrix(), V)
     rhs = mx.mmul(sigma_mat(V), w.phi_matrix())
     assert mx.meq(lhs, rhs)
+
+
+def test_special_fiber_nilpotence_against_sympy():
+    # oracle: N0 = blockdiag(0_d, I_c) * A0^(-1) mod p by sympy's inv_mod
+    from sympy import Matrix, zeros
+
+    rng = make_rng(321)
+    seen = set()
+    for f in (frame313(), frame_e2()):
+        p = f.p
+        for trial in range(24):
+            n = 2 + trial % 2
+            d = rng.randint(0, n)
+            # a unit matrix times a constant one gives every A0 mod p; a
+            # third of the trials have a zero (1,1) entry, a pivot swap
+            while True:
+                K = [[f.const(rng.randrange(p)) for _ in range(n)] for _ in range(n)]
+                A = mx.mmul(random_unit_matrix(rng, f, n), K)
+                zero_pivot = A[0][0].constant_term() % p == 0
+                if mx.det(A).is_unit() and zero_pivot == (trial % 3 == 0):
+                    break
+            w = make_window(f, d, n - d, A)
+            A0 = Matrix(n, n, lambda i, j: w.A[i][j].constant_term())
+            A0inv = A0.inv_mod(p)
+            N0 = Matrix(n, n, lambda i, j: A0inv[i, j] if i >= d else 0)
+            expect = (N0**n).applyfunc(lambda x: x % p) == zeros(n, n)
+            assert special_fiber(w).is_nilpotent == expect
+            seen.add(expect)
+    assert seen == {True, False}
