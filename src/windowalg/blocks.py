@@ -8,7 +8,7 @@ polynomial grammar over the variables u, t1..tr accepts integers, + - *
 
 from __future__ import annotations
 
-from .series import _Kernel, _Layout
+from .series import SeriesElem, _Kernel, _Layout
 
 
 class ParseError(ValueError):
@@ -35,7 +35,11 @@ def _tokenize(text, line=1):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(("int", int(text[i:j]), line, col))
+            try:
+                value = int(text[i:j])
+            except ValueError:  # past the interpreter's limit on digits
+                raise ParseError("integer literal too long", line, col) from None
+            tokens.append(("int", value, line, col))
             col += j - i
             i = j
             continue
@@ -59,14 +63,14 @@ def _tokenize(text, line=1):
 
 class _PolyParser:
     """Recursive descent over the token list, evaluating into a packed
-    table of the uncapped integer ring in u, t1..tr."""
+    table of ring: by default the uncapped integer ring in u, t1..tr, or
+    a frame's truncated ring, whose caps then apply to every step."""
 
-    def __init__(self, tokens, r):
+    def __init__(self, tokens, r, ring=None):
         self.tokens = tokens
         self.pos = 0
         self.r = r
-        # exact integer polynomials in u, t1..tr with no caps
-        self.ring = _Kernel(_Layout(r, None), None, None, None, None)
+        self.ring = ring or _Kernel(_Layout(r, None), None, None, None, None)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -85,7 +89,7 @@ class _PolyParser:
         tok = self.peek()
         if tok[0] != "end":
             self.fail("unexpected token %r" % str(tok[1]))
-        return self.ring.layout.unpack_table(tbl)
+        return tbl
 
     def expr(self):
         ring = self.ring
@@ -117,6 +121,8 @@ class _PolyParser:
             tok = self.take()
             if tok[0] != "int":
                 self.fail("exponent must be an integer", tok)
+            if tok[1] >= 1 << 32:  # bounds the squaring steps of pow
+                self.fail("exponent too large", tok)
             try:
                 return self.ring.pow(base, tok[1])
             except OverflowError:
@@ -139,12 +145,12 @@ class _PolyParser:
             key = [0] * (self.r + 1)
             if tok[1] == "u":
                 key[-1] = 1
-                return {self.ring.layout.pack(key): 1}
+                return self.ring.clip({self.ring.layout.pack(key): 1})
             if tok[1].startswith("t") and tok[1][1:].isdigit():
                 i = int(tok[1][1:])
                 if 1 <= i <= self.r:
                     key[i - 1] = 1
-                    return {self.ring.layout.pack(key): 1}
+                    return self.ring.clip({self.ring.layout.pack(key): 1})
                 self.fail("variable %s out of range (r = %d)" % (tok[1], self.r), tok)
             self.fail("unknown variable %r" % tok[1], tok)
         self.fail("expected a polynomial atom", tok)
@@ -155,7 +161,8 @@ def parse_poly(text, r, line=1):
     exponent tuples (t1, .., tr, u)."""
     if r < 0:  # keys hold r t-exponents before u; refused before parsing
         raise ValueError("r must be >= 0")
-    return _PolyParser(_tokenize(text, line), r).parse()
+    parser = _PolyParser(_tokenize(text, line), r)
+    return parser.ring.layout.unpack_table(parser.parse())
 
 
 # -- canonical rendering ------------------------------------------------------
@@ -271,7 +278,10 @@ def build_frame(block):
     return Frame.make(p, r, e, a, N, D, L, tbl)
 
 
-def parse_matrix_rows(frame, block, tag="S"):
+def parse_matrix_rows(frame, block):
+    """Rows of series-ring elements, each cell parsed in the frame's
+    truncated ring (the same element as parsing, then truncating)."""
+    ring = frame.ring("S")
     rows = []
     width = None
     for text, line, col in block.rows():
@@ -283,10 +293,10 @@ def parse_matrix_rows(frame, block, tag="S"):
         row = []
         for cell in cells:
             try:
-                tbl = parse_poly(cell, frame.r, line=line)
+                tbl = _PolyParser(_tokenize(cell, line), frame.r, ring).parse()
             except ParseError as err:
                 raise ParseError(str(err).split(": ", 1)[1], line, col) from None
-            row.append(frame.elem(tbl, tag))
+            row.append(SeriesElem(frame, "S", tbl))
         rows.append(tuple(row))
     if not rows:
         raise ParseError("block %r has no rows" % block.name, block.line, 1)

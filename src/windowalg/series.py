@@ -618,7 +618,7 @@ class SeriesElem:
     def _check(self, other):
         if not isinstance(other, SeriesElem):
             raise TypeError("expected a series element")
-        if self.frame != other.frame or self.tag != other.tag:
+        if self.tag != other.tag or self.frame is not other.frame and self.frame != other.frame:
             raise FrameMismatchError("operands live in different rings")
 
     def _wrap(self, tbl):

@@ -89,7 +89,7 @@ class TElem:
     # -- ring operations ----------------------------------------------------
 
     def _check(self, other):
-        if self.frame != other.frame or self.level != other.level:
+        if self.level != other.level or self.frame is not other.frame and self.frame != other.frame:
             raise FrameMismatchError("T-ring operands differ in frame or level")
 
     def __add__(self, other):

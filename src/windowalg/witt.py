@@ -9,10 +9,18 @@ into the cached symbolic polynomials while staying cheap for large
 (p, L).  The symbolic table itself is available via witt_polys for
 inspection and cross-checks.
 
+A vector carries its ghost tables at the boosted modulus p^(M+L-1),
+M the exponent of its components: delta, kappa, tau and from_int
+attach them, sums, products and negatives combine their operands'
+and solve once, and any other vector computes them on first use.
+Carried ghost n agrees with the recomputed one mod p^(M+n), and
+component n of a solve, mod p^M, depends only on ghost n mod p^(M+n);
+so no result depends on where the ghosts came from, and filling the
+slot late changes no value (vectors stay safe to share).
+
 delta is the ring section with ghost components sigma^n(x); kappa is
 its composite with reduction mod E; tau is the unit with p*tau =
-kappa(sigma(E)), realized exactly as the Verschiebung shift of
-kappa(E) (component 0 of kappa(E) vanishes, and F(V(y)) = p*y).
+kappa(sigma(E)), solved from its ghosts pi(sigma^(n+1)(E))/p.
 """
 
 from __future__ import annotations
@@ -26,6 +34,36 @@ from .series import Frame, FrameMismatchError, PrecisionError, SeriesElem, _Kern
 def _zring(p, pmod):
     """The kernel of integer Witt components (tables {0: c}), one per (p, modulus)."""
     return _Kernel(_Layout(0, 0), p, 0, 1, pmod)
+
+
+def _pi_sigma(frame, boost, f, q):
+    """pi(sigma^n(f)) in ring("R", boost) for a series table f, q = p^n.
+
+    sigma^n sends t^alpha u^k to t^(alpha*q) u^(k*q); with k*q = m*e + j
+    the term is (u^e)^m t^(alpha*q) u^j mod E.  The u-cap of S is not
+    applied, and (u^e)^m = (u^e - E)^m is divisible by p^m, so it
+    vanishes from m = the ring's p-exponent on and no u-exponent leaves
+    the packed u-field.  The powers are cached on the frame.
+    """
+    ring = frame.ring("R", boost)
+    folds = frame._cache.get(("u^e", boost))
+    if folds is None:
+        folds = [ring.one()]
+        for _ in range(frame.rmod_exp() + boost - 1):
+            folds.append(ring.mul(folds[-1], ring.neg(dict(frame._E_tail))))
+        frame._cache[("u^e", boost)] = folds
+    ts, um, e = frame.layout.ts, frame.layout.umask, frame.e
+    parts = [{} for _ in folds]
+    for k, c in f.items():
+        m, j = divmod((k & um) * q, e)
+        if (k >> ts) * q <= frame.D and m < len(parts):
+            # sigma is injective on monomials: no two keys meet
+            parts[m][(k - (k & um)) * q + j] = c
+    out = ring.norm(parts[0])
+    for part, fold in zip(parts[1:], folds[1:]):
+        if part:
+            out = ring.add(out, ring.mul(part, fold))
+    return out
 
 
 def _solve_ghost(ring, ghosts, p):
@@ -61,7 +99,7 @@ def _ghosts_of(ring, comps, length, p):
 class WittVec:
     """Length-L Witt vector; tag is "S", "R" or "Z"."""
 
-    __slots__ = ("tag", "comps", "frame", "p", "pexp")
+    __slots__ = ("tag", "comps", "frame", "p", "pexp", "_ghosts")
 
     def __init__(self, tag, comps, frame=None, p=None, pexp=None):
         self.tag = tag
@@ -80,6 +118,7 @@ class WittVec:
             self.pexp = pexp
         else:
             raise ValueError("unknown Witt base tag %r" % tag)
+        self._ghosts = None
 
     # -- plumbing -----------------------------------------------------------
 
@@ -89,7 +128,7 @@ class WittVec:
     def _compat(self, other):
         if (
             self.tag != other.tag
-            or self.frame != other.frame
+            or (self.frame is not other.frame and self.frame != other.frame)
             or self.p != other.p
             or self.pexp != other.pexp
         ):
@@ -108,14 +147,25 @@ class WittVec:
             return [{0: c} if c else {} for c in self.comps]
         return [c.packed for c in self.comps]
 
-    def _rewrap(self, tables):
+    def _ghost_tables(self):
+        """Ghost tables at the boosted modulus, computed on first use
+        unless the producer of the vector attached them."""
+        if self._ghosts is None:
+            length = len(self.comps)
+            self._ghosts = _ghosts_of(self._ring(length - 1), self._tables(), length, self.p)
+        return self._ghosts
+
+    def _solved(self, ghosts):
+        """The vector over this base with these boosted ghost tables (of any length)."""
         ring = self._ring()
-        tables = [ring.norm(t) for t in tables]
+        tables = [ring.norm(t) for t in _solve_ghost(self._ring(len(ghosts) - 1), ghosts, self.p)]
         if self.tag == "Z":
-            comps = [t.get(0, 0) for t in tables]
-            return WittVec("Z", comps, p=self.p, pexp=self.pexp)
-        comps = [SeriesElem(self.frame, self.tag, t) for t in tables]
-        return WittVec(self.tag, comps, frame=self.frame)
+            out = WittVec("Z", [t.get(0, 0) for t in tables], p=self.p, pexp=self.pexp)
+        else:
+            comps = [SeriesElem(self.frame, self.tag, t) for t in tables]
+            out = WittVec(self.tag, comps, self.frame)
+        out._ghosts = ghosts
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, WittVec):
@@ -155,11 +205,8 @@ class WittVec:
     __rmul__ = __mul__
 
     def __neg__(self):
-        length = len(self.comps)
-        boost = length - 1
-        ring = self._ring(boost)
-        ghosts = [ring.neg(g) for g in _ghosts_of(ring, self._tables(), length, self.p)]
-        return self._rewrap(_solve_ghost(ring, ghosts, self.p))
+        ring = self._ring(len(self.comps) - 1)
+        return self._solved([ring.neg(g) for g in self._ghost_tables()])
 
     def __sub__(self, other):
         return wadd(self, -other)
@@ -176,13 +223,8 @@ class WittVec:
 
 def _binary(x, y, combine):
     x._compat(y)
-    length = len(x.comps)
-    boost = length - 1
-    ring = x._ring(boost)
-    gx = _ghosts_of(ring, x._tables(), length, x.p)
-    gy = _ghosts_of(ring, y._tables(), length, x.p)
-    ghosts = [combine(ring, a, b) for a, b in zip(gx, gy)]
-    return x._rewrap(_solve_ghost(ring, ghosts, x.p))
+    ring = x._ring(len(x.comps) - 1)
+    return x._solved([combine(ring, a, b) for a, b in zip(x._ghost_tables(), y._ghost_tables())])
 
 
 def wadd(x, y):
@@ -206,17 +248,14 @@ def wfrob(x):
     length = len(x.comps)
     if length < 2:
         raise ValueError("Frobenius needs length >= 2")
-    boost = length - 1
-    ring = x._ring(boost)
-    ghosts = _ghosts_of(ring, x._tables(), length, x.p)[1:]
-    out = _solve_ghost(ring, ghosts, x.p)
-    return x._rewrap(out)
+    ring = x._ring(length - 2)
+    return x._solved([ring.norm(g) for g in x._ghost_tables()[1:]])
 
 
 def ghost(x):
     """All ghost components w_n(x) in the component ring."""
     ring = x._ring()
-    out = _ghosts_of(ring, x._tables(), len(x.comps), x.p)
+    out = [ring.norm(g) for g in x._ghost_tables()]
     if x.tag == "Z":
         return [t.get(0, 0) for t in out]
     return [SeriesElem(x.frame, x.tag, t) for t in out]
@@ -228,11 +267,8 @@ def from_int(n, length, like=None, frame=None, tag="S", p=None, pexp=None):
         tag, frame, p, pexp = like.tag, like.frame, like.p, like.pexp
     if tag in ("S", "R"):
         p = frame.p
-    tmp = WittVec(tag, [frame.zero(tag)] * length if tag != "Z" else [0] * length,
-                  frame=frame, p=p, pexp=pexp)
-    ring = tmp._ring(length - 1)
-    ghosts = [ring.const(n)] * length
-    return tmp._rewrap(_solve_ghost(ring, ghosts, p))
+    tmp = WittVec(tag, [], frame=frame, p=p, pexp=pexp)
+    return tmp._solved([tmp._ring(length - 1).const(n)] * length)
 
 
 def delta(x, length=None):
@@ -249,32 +285,38 @@ def delta(x, length=None):
     ghosts = [ring.norm(x.packed)]
     for _ in range(length - 1):
         ghosts.append(ring.sigma(ghosts[-1]))
-    comps = _solve_ghost(ring, ghosts, frame.p)
-    stamp = frame.ring("S")
-    return WittVec("S", [SeriesElem(frame, "S", stamp.norm(c)) for c in comps], frame=frame)
+    return WittVec("S", [], frame=frame)._solved(ghosts)
 
 
 def kappa(x, length=None):
-    """Component-wise reduction of delta(x) into W(R/p^aR)."""
+    """Component-wise reduction of delta(x) into W(R/p^aR).
+
+    It carries the ghosts pi(sigma^n(x)) (see _pi_sigma); they agree with
+    those of its components mod p^(M+n), M = min(a, N), because the
+    quotient by E has no p-torsion and u^(a*e) lies in (E, p^M).
+    """
     frame = x.frame
     length = frame.L if length is None else length
     dv = delta(x, length)
-    return WittVec("R", [c.reduce_mod_E() for c in dv.comps], frame=frame)
+    out = WittVec("R", [c.reduce_mod_E() for c in dv.comps], frame=frame)
+    out._ghosts = [_pi_sigma(frame, length - 1, x.packed, frame.p**n) for n in range(length)]
+    return out
 
 
 @lru_cache(maxsize=64)  # keyed by frame value: equal frames rebuilt per job still hit
 def tau(frame):
     """The unit with p*tau = kappa(sigma(E)).
 
-    kappa(E) has zeroth component 0, so kappa(E) = V(y) and
-    kappa(sigma(E)) = F(V(y)) = p*y: tau is the left shift of kappa(E)
-    computed at Witt length L+1, which loses no precision.  The
-    Frobenius identity is then verified at the stored modulus.
+    kappa(sigma(E)) has the ghosts pi(sigma^(n+1)(E)), so tau is solved
+    from (and carries) the ghosts pi(sigma^(n+1)(E))/p, computed with one
+    spare p-digit.  The quotient by E has no p-torsion, so the division
+    is exact; a ghost that resists it raises PrecisionError.  The
+    Frobenius identity and the unit property are then verified.
     """
-    kv = kappa(frame.E, length=frame.L + 1)
-    if not kv.comps[0].is_zero():
-        raise PrecisionError("kappa(E) has nonzero zeroth component")
-    t = WittVec("R", kv.comps[1:], frame=frame)
+    ring, L = frame.ring("R", frame.L), frame.L
+    ghosts = [ring.div_exact_ppow(_pi_sigma(frame, L, frame.E.packed, frame.p ** (n + 1)), 1)
+              for n in range(L)]
+    t = WittVec("R", [], frame=frame)._solved(ghosts)
     lhs = wmul(from_int(frame.p, frame.L, like=t), t)
     rhs = kappa(frame.E.frobenius(), length=frame.L)
     if lhs != rhs:

@@ -1,6 +1,8 @@
 import subprocess
 import sys
+import time
 
+from windowalg import blocks as blk
 from windowalg.cli import main
 
 FRAME = """[frame]
@@ -270,3 +272,76 @@ def test_arithmetic_error_is_an_error_line(capsys, tmp_path, monkeypatch):
     code, out = run_cli(capsys, ["nu", path, "--machine"])
     assert code == 1
     assert out == "error = not a unit\n"
+
+
+DISPLAY_L4_JOB = """[frame]
+p = 3
+r = 1
+e = 2
+a = 3
+N = 5
+D = 3
+L = 4
+E = u^2 + 3*t1*u + 3
+
+[window]
+d = 1
+c = 1
+row = 1 + u, t1
+row = 3*u, 2 + t1*u
+"""
+
+
+def test_display_golden_at_witt_length_4(capsys, tmp_path):
+    path = write(tmp_path, "d4.txt", DISPLAY_L4_JOB)
+    code, out = run_cli(capsys, ["display", path, "--machine"])
+    assert code == 0
+    assert out == (
+        "d = 1\nc = 1\nwitt_length = 4\nlie_rank = 1\n"
+        "B[1][1] = (1 + u, 3 + 26*u + 3*t1*u, 3 + 17*u + 21*t1*u, 3 + 17*u + 21*t1*u)\n"
+        "B[1][2] = (19*t1, 9*t1^3, 0, 0)\n"
+        "B[2][1] = (3*u, 9*t1 + 24*u + 9*t1^2*u, 0, 0)\n"
+        "B[2][2] = (11 + 19*t1*u + 21*t1^3*u, 16 + 6*t1^2 + 23*t1*u + 3*t1^3*u, "
+        "12*t1^2 + 12*t1*u + 6*t1^3*u, 21*t1^2 + 21*t1*u + 15*t1^3*u)\n"
+        "display = valid\n"
+    )
+
+
+def test_rows_are_parsed_under_the_frame_caps(capsys, tmp_path):
+    job = FRAME.replace("r = 0", "r = 1") + "\n[window]\nd = 1\nc = 0\nrow = (1+u+t1)^1500\n"
+    path = write(tmp_path, "pow.txt", job)
+    start = time.perf_counter()
+    code, out = run_cli(capsys, ["validate", path, "--machine"])
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    assert out == "frame = valid\nwindow1 = valid\n"
+    spec = blk.parse_blocks(job)
+    frame = blk.build_frame(spec[0])
+    (row,) = blk.parse_matrix_rows(frame, spec[1])
+    assert row == (frame.series("1 + u + t1") ** 1500,)
+    # a product past the 32-bit exponent fields is now truncated, not refused
+    job = FRAME + "\n[window]\nd = 1\nc = 0\nrow = 1 + u^3000000000*u^3000000000\n"
+    path = write(tmp_path, "big.txt", job)
+    code, out = run_cli(capsys, ["validate", path, "--machine"])
+    assert code == 0
+    assert out == "frame = valid\nwindow1 = valid\n"
+
+
+def test_literal_exponent_past_32_bits_is_refused(capsys, tmp_path):
+    job = FRAME + "\n[window]\nd = 1\nc = 0\nrow = u^4294967296\n"
+    path = write(tmp_path, "exp.txt", job)
+    code, out = run_cli(capsys, ["validate", path, "--machine"])
+    assert code == 2
+    assert out == "frame = valid\nparse_error = line 14, col 6: exponent too large\n"
+
+
+def test_over_long_integer_literal_is_a_parse_error(capsys, tmp_path):
+    job = FRAME + "\n[window]\nd = 1\nc = 0\nrow = 1 + %s*u\n" % ("7" * 5000)
+    path = write(tmp_path, "row.txt", job)
+    code, out = run_cli(capsys, ["validate", path, "--machine"])
+    assert code == 2
+    assert out == "frame = valid\nparse_error = line 14, col 6: integer literal too long\n"
+    path = write(tmp_path, "e.txt", FRAME.replace("u + 3", "u + 3 + %s" % ("9" * 5000)))
+    code, out = run_cli(capsys, ["display", path, "--machine"])
+    assert code == 2
+    assert out == "parse_error = line 9, col 12: integer literal too long\n"

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from windowalg import (
     Frame,
@@ -15,6 +17,7 @@ from windowalg import (
     wver,
 )
 from windowalg.series import _Ring
+from windowalg.witt import _ghosts_of
 from windowalg.rand import random_frame, random_series
 
 from helpers import frame313, frame_e2, make_rng
@@ -281,3 +284,86 @@ def test_delta_rejects_r_tag():
     f = frame313()
     with pytest.raises(ValueError):
         delta(f.one("R"))
+
+
+# -- carried ghost components --------------------------------------------------
+
+# a > N, a < N and a = N; e = 1, 2, 3; r = 0, 1, 2
+GHOST_FRAMES = [
+    Frame.make(3, 1, 2, 4, 3, 3, 3, "u^2 + 3*t1*u + 3"),
+    Frame.make(5, 0, 1, 2, 4, 4, 2, "u + 5"),
+    Frame.make(3, 2, 3, 3, 3, 2, 4, "u^3 + 3*t2*u^2 + 3*(1 + t1)"),
+]
+
+
+@st.composite
+def carrying_pair(draw):
+    """Two vectors over S, R or Z of one frame, both carrying their ghosts."""
+    f = draw(st.sampled_from(GHOST_FRAMES))
+    tag = draw(st.sampled_from(["S", "R", "Z"]))
+    if tag == "Z":
+        pexp = draw(st.sampled_from([None, f.N]))
+        comps = st.lists(st.integers(-99, 99), min_size=f.L, max_size=f.L)
+        plain = [WittVec("Z", draw(comps), p=f.p, pexp=pexp) for _ in range(2)]
+        shift = from_int(draw(st.integers(-9, 9)), f.L, like=plain[0])
+        return [wadd(v, shift) for v in plain]
+    seeds = st.integers(0, 2**32)
+    xs = [random_series(make_rng(draw(seeds)), f, terms=4, bound=f.p**f.N) for _ in range(2)]
+    return [delta(x) if tag == "S" else kappa(x) for x in xs]
+
+
+def _rebuilt(v):
+    """The same vector, knowing only its components."""
+    return WittVec(v.tag, v.comps, frame=v.frame, p=v.p, pexp=v.pexp)
+
+
+@settings(max_examples=40, deadline=None)
+@given(carrying_pair())
+def test_carried_ghosts_give_the_values_of_rebuilt_copies(pair):
+    x, y = pair
+    assert x._ghosts is not None and y._ghosts is not None
+    bx, by = _rebuilt(x), _rebuilt(y)
+    for op in (wadd, wmul, lambda a, b: a - b):
+        assert op(x, y) == op(bx, by)
+        assert op(x, by) == op(bx, y)
+    assert -x == -bx
+    assert ghost(x) == ghost(bx)
+
+
+def _assert_ghosts_agree(v, frame):
+    """Carried ghost n equals the recomputed one modulo p^(M+n)."""
+    length = len(v.comps)
+    fresh = _ghosts_of(v._ring(length - 1), v._tables(), length, v.p)
+    for n, (carried, recomputed) in enumerate(zip(v._ghost_tables(), fresh)):
+        ring = frame.ring("R", n)
+        assert ring.norm(carried) == ring.norm(recomputed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(GHOST_FRAMES), st.integers(0, 2**32), st.integers(1, 4))
+def test_kappa_ghosts_agree_with_its_components(f, seed, length):
+    x = random_series(make_rng(seed), f, terms=5, bound=f.p**f.N)
+    for y in (x, x.frobenius(), f.E):
+        _assert_ghosts_agree(kappa(y, length), f)
+
+
+def test_tau_ghosts_agree_with_its_components():
+    rng = make_rng(212)
+    for f in GHOST_FRAMES + [random_frame(rng) for _ in range(20)]:
+        _assert_ghosts_agree(tau(f), f)
+
+
+def test_tau_folds_u_degrees_past_the_u_field():
+    # sigma(E) holds u^9000, past the 13-bit packed u-field
+    f = Frame.make(3, 0, 4000, 1, 3, 2, 2, "u^4000 + 3*u^3000 + 3")
+    assert str(tau(f)) == "(1, 0)"
+
+
+def test_tau_precision_shadow():
+    # tau at precision N and at N + 2 agree modulo p^min(a, N)
+    rng = make_rng(213)
+    for _ in range(25):
+        f = random_frame(rng, L=rng.randint(1, 4))
+        g = Frame.make(f.p, f.r, f.e, f.a, f.N + 2, f.D, f.L, dict(f.E_items))
+        ring = f.ring("R")
+        assert [c.packed for c in tau(f).comps] == [ring.norm(c.packed) for c in tau(g).comps]
