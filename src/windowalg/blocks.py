@@ -21,9 +21,9 @@ class ParseError(ValueError):
 # -- polynomial expressions -------------------------------------------------
 
 
-def _tokenize(text, line=1):
+def _tokenize(text, line=1, col=1):
     tokens = []
-    i, col = 0, 1
+    i = 0
     n = len(text)
     while i < n:
         ch = text[i]
@@ -156,13 +156,20 @@ class _PolyParser:
         self.fail("expected a polynomial atom", tok)
 
 
-def parse_poly(text, r, line=1):
+def parse_poly(text, r, line=1, col=1):
     """Parse an integer polynomial in u, t1..tr into a table keyed by
-    exponent tuples (t1, .., tr, u)."""
+    exponent tuples (t1, .., tr, u); text starts at (line, col)."""
     if r < 0:  # keys hold r t-exponents before u; refused before parsing
         raise ValueError("r must be >= 0")
-    parser = _PolyParser(_tokenize(text, line), r)
+    parser = _PolyParser(_tokenize(text, line, col), r)
     return parser.ring.layout.unpack_table(parser.parse())
+
+
+def parse_series(frame, text, line=1, col=1):
+    """Packed table of text evaluated in the frame's truncated S ring,
+    whose caps apply at every step (the same element as parsing, then
+    truncating); text starts at (line, col)."""
+    return _PolyParser(_tokenize(text, line, col), frame.r, frame.ring("S")).parse()
 
 
 # -- canonical rendering ------------------------------------------------------
@@ -251,7 +258,8 @@ def parse_blocks(text):
         if "=" not in line:
             raise ParseError("expected 'key = value'", lineno, 1)
         key, value = line.split("=", 1)
-        col = line.index("=") + 2
+        # column of the value's first character
+        col = len(key) + 2 + len(value) - len(value.lstrip())
         current.entries.append((key.strip(), value.strip(), lineno, col))
     return blocks
 
@@ -269,19 +277,12 @@ def build_frame(block):
     etext = block.get("E")
     if etext is None:
         raise ParseError("missing key 'E'", block.line, 1)
-    eline = next(line for k, v, line, _ in block.entries if k == "E")
-    ecol = next(col for k, v, line, col in block.entries if k == "E")
-    try:
-        tbl = parse_poly(etext, r, line=eline)
-    except ParseError as err:
-        raise ParseError(str(err).split(": ", 1)[1], eline, ecol + err.col - 1) from None
-    return Frame.make(p, r, e, a, N, D, L, tbl)
+    eline, ecol = next((line, col) for k, _, line, col in block.entries if k == "E")
+    return Frame.make(p, r, e, a, N, D, L, parse_poly(etext, r, eline, ecol))
 
 
 def parse_matrix_rows(frame, block):
-    """Rows of series-ring elements, each cell parsed in the frame's
-    truncated ring (the same element as parsing, then truncating)."""
-    ring = frame.ring("S")
+    """Rows of series-ring elements, each cell parsed by parse_series."""
     rows = []
     width = None
     for text, line, col in block.rows():
@@ -292,11 +293,8 @@ def parse_matrix_rows(frame, block):
             raise ParseError("ragged matrix row", line, col)
         row = []
         for cell in cells:
-            try:
-                tbl = _PolyParser(_tokenize(cell, line), frame.r, ring).parse()
-            except ParseError as err:
-                raise ParseError(str(err).split(": ", 1)[1], line, col) from None
-            row.append(SeriesElem(frame, "S", tbl))
+            row.append(SeriesElem(frame, "S", parse_series(frame, cell, line, col)))
+            col += len(cell) + 1  # the next cell starts past the comma
         rows.append(tuple(row))
     if not rows:
         raise ParseError("block %r has no rows" % block.name, block.line, 1)

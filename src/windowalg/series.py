@@ -6,8 +6,10 @@ at a*e.  That ring is tagged "S".  Reducing modulo the distinguished
 u-monic polynomial E gives the quotient tagged "R", whose canonical
 form has u-degree < e and coefficients mod p^min(a, N).
 
-All three caps are honest ring quotients (the span of monomials beyond
-a cap is an ideal), so every operation here is exact ring arithmetic.
+The three caps of S are honest ring quotients (the span of monomials
+beyond a cap is an ideal), so every operation here is exact ring
+arithmetic.  In R, u-degree < e is not a cap but the canonical form
+reached by division by E, so tables enter R through reduce_mod_E.
 The Frobenius lift sigma maps the cap ideal into itself and therefore
 descends to the truncation; recovering the untruncated value of
 sigma(x) additionally needs t-degree(x) <= D/p (the caller's budget).
@@ -372,28 +374,6 @@ class _Kernel:
                     out[p * i + m][(k - u) * p + j] = c * p ** ((p - 1) * i + m)
         return [self.norm(t) for t in out]
 
-    def const_term(self, f):
-        return f.get(0, 0)
-
-    def is_unit(self, f):
-        return self.const_term(f) % self.p != 0
-
-    def inv(self, f):
-        """Newton inversion; the error 1 - x*y lives in the augmentation
-        ideal, which is nilpotent under the degree caps."""
-        if self.pmod is None:
-            raise ValueError("inversion needs a finite coefficient modulus")
-        c = self.const_term(f)
-        if c % self.p == 0:
-            raise ZeroDivisionError("not a unit: constant term divisible by p")
-        y = self.const(pow(c, -1, self.pmod))
-        for _ in range(64):
-            err = self.sub(self.one(), self.mul(f, y))
-            if not err:
-                return y
-            y = self.add(y, self.mul(y, err))
-        raise PrecisionError("unit inversion did not terminate")
-
     def div_exact_ppow(self, f, k):
         """Divide by p^k; every coefficient must be divisible.
 
@@ -412,6 +392,26 @@ class _Kernel:
             if cq:
                 out[key] = cq
         return out
+
+
+def newton_inverse(x):
+    """Inverse of a unit x of the S, R or T ring by Newton iteration.
+
+    The start value inverts the constant term mod p^N; the error
+    1 - x*y then lies in the augmentation ideal, which is nilpotent
+    under the degree caps, and each step squares it.
+    """
+    c = x.constant_term()
+    if c % x.frame.p == 0:
+        raise ZeroDivisionError("not a unit: constant term divisible by p")
+    one = x.one()
+    y = one * pow(c, -1, x.frame.p**x.frame.N)
+    for _ in range(64):
+        err = one - x * y
+        if err.is_zero():
+            return y
+        y = y + y * err
+    raise PrecisionError("unit inversion did not terminate")
 
 
 class _Ring:
@@ -530,8 +530,15 @@ class Frame:
     # -- element constructors --------------------------------------------
 
     def elem(self, table, tag="S"):
-        """Element from a table keyed by exponent tuples, clipped to the caps."""
-        return SeriesElem(self, tag, self.ring(tag).pack(table))
+        """Element from a table keyed by exponent tuples, clipped to the
+        S caps; tag "R" then reduces it mod E."""
+        return self._tagged(self.ring("S").pack(table), tag)
+
+    def _tagged(self, packed, tag):
+        if tag not in ("S", "R"):
+            raise ValueError("unknown ring tag %r" % tag)
+        x = SeriesElem(self, "S", packed)
+        return x.reduce_mod_E() if tag == "R" else x
 
     def const(self, n, tag="S"):
         return SeriesElem(self, tag, self.ring(tag).clip({0: n}))
@@ -553,9 +560,10 @@ class Frame:
         return self.elem({tuple(key): 1})
 
     def series(self, text, tag="S"):
+        """Element parsed in the truncated S ring; tag "R" reduces it mod E."""
         from . import blocks
 
-        return self.elem(blocks.parse_poly(text, self.r), tag)
+        return self._tagged(blocks.parse_series(self, text), tag)
 
     @cached_property
     def E(self):
@@ -589,8 +597,7 @@ class Frame:
             upart = ring.norm({self.e * (self.a - k): (-1) ** (self.a - k)})
             term = ring.mul(term, upart)
             acc = ring.add(acc, ring.scal(term, comb(self.a, k)))
-        eps_inv = ring.inv(self.epsilon.packed)
-        inv_pow = ring.pow(eps_inv, self.a)
+        inv_pow = ring.pow(self.epsilon.invert().packed, self.a)
         return ring.mul(acc, inv_pow)
 
 
@@ -674,13 +681,13 @@ class SeriesElem:
         return self.frame.one(self.tag)
 
     def constant_term(self):
-        return self._ring().const_term(self.packed)
+        return self.packed.get(0, 0)
 
     def is_unit(self):
-        return self._ring().is_unit(self.packed)
+        return self.constant_term() % self.frame.p != 0
 
     def invert(self):
-        return self._wrap(self._ring().inv(self.packed))
+        return newton_inverse(self)
 
     # -- frame maps --------------------------------------------------------
 

@@ -14,7 +14,7 @@ convergence detection is needed.
 from __future__ import annotations
 
 from . import matrices as mx
-from .series import FrameMismatchError, PrecisionError, SeriesElem
+from .series import FrameMismatchError, PrecisionError, SeriesElem, newton_inverse
 
 
 class HypothesisError(ValueError):
@@ -148,17 +148,7 @@ class TElem:
         return self.constant_term() % self.frame.p != 0
 
     def invert(self):
-        c = self.constant_term()
-        if c % self.frame.p == 0:
-            raise ZeroDivisionError("not a unit in the T-ring")
-        y = TElem.const(self.frame, self.level, pow(c, -1, self.frame.p**self.frame.N))
-        one = self.one()
-        for _ in range(64):
-            err = one - self * y
-            if err.is_zero():
-                return y
-            y = y + y * err
-        raise PrecisionError("T-ring inversion did not terminate")
+        return newton_inverse(self)
 
     def sigma(self):
         """sigma on coefficients plus v -> p^(p-1) v^p."""
@@ -281,8 +271,9 @@ def solve_iso(w1, w2, level=None):
 
     emb = lambda M: mx.mmap(M, lambda x: TElem.embed(x, level))
     # embedding is a ring map, so it carries A2^(-1) to the inverse over T
-    A1T, A2T_inv, ZT = emb(w1.A), emb(A2_inv), emb(Z)
+    A2T_inv, ZT = emb(A2_inv), emb(Z)
     CT = _c_matrix(frame, level, d, c)
+    A1C = mx.mmul(emb(w1.A), CT)  # formed once for every Psi step
     pCinv = _pc_inverse(frame, level, d, c)
 
     D = mx.mmul(pCinv, mx.mmul(ZT, CT))
@@ -291,7 +282,7 @@ def solve_iso(w1, w2, level=None):
 
     def psi(Y):
         sig = mx.mmap(Y, lambda x: x.sigma())
-        out = mx.mmul(pCinv, mx.mmul(A2T_inv, mx.mmul(sig, mx.mmul(A1T, CT))))
+        out = mx.mmul(pCinv, mx.mmul(A2T_inv, mx.mmul(sig, A1C)))
         return mx.mscal(out, s)
 
     zero_t = TElem._from_bands(frame, level, [])

@@ -332,7 +332,7 @@ def test_literal_exponent_past_32_bits_is_refused(capsys, tmp_path):
     path = write(tmp_path, "exp.txt", job)
     code, out = run_cli(capsys, ["validate", path, "--machine"])
     assert code == 2
-    assert out == "frame = valid\nparse_error = line 14, col 6: exponent too large\n"
+    assert out == "frame = valid\nparse_error = line 14, col 9: exponent too large\n"
 
 
 def test_over_long_integer_literal_is_a_parse_error(capsys, tmp_path):
@@ -340,8 +340,21 @@ def test_over_long_integer_literal_is_a_parse_error(capsys, tmp_path):
     path = write(tmp_path, "row.txt", job)
     code, out = run_cli(capsys, ["validate", path, "--machine"])
     assert code == 2
-    assert out == "frame = valid\nparse_error = line 14, col 6: integer literal too long\n"
+    assert out == "frame = valid\nparse_error = line 14, col 11: integer literal too long\n"
     path = write(tmp_path, "e.txt", FRAME.replace("u + 3", "u + 3 + %s" % ("9" * 5000)))
     code, out = run_cli(capsys, ["display", path, "--machine"])
     assert code == 2
-    assert out == "parse_error = line 9, col 12: integer literal too long\n"
+    assert out == "parse_error = line 9, col 13: integer literal too long\n"
+
+
+def test_parse_error_columns_point_at_the_offending_token(capsys, tmp_path):
+    path = write(tmp_path, "p.txt", FRAME.replace("E = u + 3", "E = u + + 3"))
+    code, out = run_cli(capsys, ["validate", path, "--machine"])
+    assert code == 2
+    assert out == "parse_error = line 9, col 9: expected a polynomial atom\n"
+    # each cell of a row is tokenized at its own column
+    job = FRAME + "\n[window]\nd = 1\nc = 1\nrow = 1, 1 + t1\nrow = 0, 1\n"
+    path = write(tmp_path, "v.txt", job)
+    code, out = run_cli(capsys, ["validate", path, "--machine"])
+    assert code == 2
+    assert out == "frame = valid\nparse_error = line 14, col 14: variable t1 out of range (r = 0)\n"

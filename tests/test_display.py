@@ -1,6 +1,7 @@
 from windowalg import (
     DDisplay,
     Frame,
+    WittVec,
     display_lie,
     kappa,
     lie,
@@ -10,7 +11,7 @@ from windowalg import (
     validate_display,
 )
 from windowalg import matrices as mx
-from windowalg.rand import random_frame, random_window
+from windowalg.rand import random_frame, random_series, random_window
 
 from helpers import frame313, frame_e2, make_rng
 
@@ -98,3 +99,18 @@ def test_tau_scaling_on_mixed_window():
     for i in range(2):
         assert D.B[i][0] == kappa(w.A[i][0])
         assert D.B[i][1] == kappa(w.A[i][1]) * t
+
+
+def test_det_zeroth_component_is_det_of_zeroth_components():
+    # x -> x_0 is a ring map W(R) -> R, which validate_display relies on
+    rng = make_rng(405)
+    for _ in range(15):
+        f = random_frame(rng, e=rng.choice([1, 2]), a=2, N=4, L=rng.choice([2, 3]))
+        n = rng.randint(1, 3)
+        wv = lambda: WittVec("R", [random_series(rng, f, tag="R") for _ in range(f.L)], frame=f)
+        B = mx.mat([[wv() for _ in range(n)] for _ in range(n)])
+        for M in (B, to_display(random_window(rng, f, max_height=3)).B):
+            zeroth = mx.det(mx.mmap(M, lambda x: x.comps[0]))
+            assert mx.det(M).comps[0] == zeroth
+            report = validate_display(DDisplay(f, len(M), 0, M))
+            assert report == ([] if zeroth.is_unit() else ["det(B) is not a unit"])

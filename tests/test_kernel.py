@@ -207,3 +207,36 @@ def test_T_constructor_takes_tuple_keyed_tables():
     assert X == TElem.embed(f.u(e + 1) + 2, 3)
     with pytest.raises(TypeError):
         TElem(f, 3, [{1: 1}])
+
+
+def _unit_of(draw, x):
+    """x with its constant term replaced by a p-adic unit."""
+    p = x.frame.p
+    return x - x.constant_term() + draw(st.integers(1, p ** (x.frame.N + 1)).filter(lambda c: c % p))
+
+
+@st.composite
+def units(draw):
+    """A unit of S, R or T on the r = 0 or r = 3 frame."""
+    f = draw(st.sampled_from([FRAMES["r0"], FRAMES["r3"]]))
+    ring = draw(st.sampled_from(["S", "R", "T"]))
+    if ring == "T":
+        level = draw(st.integers(1, f.a))
+        bands = [draw(tables(f, umax=f.e, max_terms=4)) for _ in range(level)]
+        return _unit_of(draw, TElem(f, level, bands))
+    return _unit_of(draw, f.elem(draw(tables(f)), ring))
+
+
+@PROPS
+@given(units())
+def test_inverse_of_a_unit_is_a_two_sided_inverse(x):
+    y = x.invert()
+    assert y * x == x.one()
+    assert x * y == x.one()
+
+
+@PROPS
+@given(st.one_of(*(st.tuples(st.just(f), tables(f, umax=f.a * f.e + 1)) for f in FRAMES.values())))
+def test_R_tagged_tables_are_reduced_mod_E(case):
+    f, t = case
+    assert f.elem(t, "R") == f.elem(t).reduce_mod_E()

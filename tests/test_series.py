@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from windowalg import Frame, validate_frame
@@ -188,3 +190,18 @@ def test_frame_mismatch_raises():
 def test_negative_r_is_refused_before_parsing_E():
     with pytest.raises(ValueError, match="r must be >= 0"):
         Frame.make(p=3, r=-1, e=1, a=3, N=6, D=4, L=2, E="u + 3")
+
+
+def test_series_is_parsed_in_the_truncated_ring():
+    f = Frame.make(3, 1, 1, 3, 6, 4, 2, "u + 3")
+    start = time.perf_counter()
+    x = f.series("(1+u+t1)^1500")
+    assert time.perf_counter() - start < 5.0
+    assert x == f.series("1+u+t1") ** 1500
+
+
+def test_R_tagged_constructors_reduce_mod_E():
+    f = Frame.make(3, 0, 1, 2, 5, 3, 2, "u + 3")
+    assert f.u().reduce_mod_E() == f.const(6, "R")
+    assert f.series("u", tag="R") == f.const(6, "R")
+    assert f.elem({(1,): 1}, "R") == f.const(6, "R")

@@ -1,6 +1,7 @@
 import pytest
 
 from windowalg import (
+    Frame,
     HypothesisError,
     TElem,
     base_change_T,
@@ -311,3 +312,20 @@ def test_inverse_commutes_with_the_embedding():
                 for level in range(1, f.a + 1):
                     emb = lambda M: mx.mmap(M, lambda x: TElem.embed(x, level))
                     assert mx.meq(mx.inv(emb(A)), emb(mx.inv(A)))
+
+
+def test_T_inverse_of_v_plus_eps_against_the_geometric_series():
+    # E = p(v + eps), so (v + eps)^(-1) = eps^(-1) * sum_{k<level} (-v*eps^(-1))^k
+    # because v^level = 0; checked on the large-tier frame
+    f = Frame.make(3, 2, 3, 6, 12, 10, 4, "u^3 + 3*t1*u + 3*(1 + t2)")
+    eps_inv = f.epsilon.invert()
+    assert eps_inv * f.epsilon == f.one()
+    for level in range(1, f.a + 1):
+        e_inv = TElem.embed(eps_inv, level)
+        step = -(TElem.v(f, level) * e_inv)
+        term, total = e_inv, e_inv.zero()
+        for _ in range(level):
+            total = total + term
+            term = term * step
+        veps = TElem.v(f, level) + TElem.embed(f.epsilon, level)
+        assert veps.invert() == total
