@@ -13,7 +13,6 @@ import sys
 from . import blocks as blk
 from .display import display_lie, to_display, validate_display
 from .isogeny import IsogenyError, make_module, order_string, validate_breuil_module
-from .selftest import run_selftest
 from .series import validate_frame
 from .tframe import HypothesisError, nu, solve_iso
 from .window import DecompositionError, special_fiber
@@ -204,6 +203,8 @@ def cmd_nu(spec, out):
 
 
 def cmd_selftest(out):
+    from .selftest import run_selftest
+
     ok = run_selftest(lambda name, good: out.fact(name.replace(" ", "_"), "ok" if good else "FAIL"))
     out.fact("selftest", "ok" if ok else "FAIL")
     return 0 if ok else 1

@@ -76,15 +76,15 @@ def to_display(w):
 def validate_display(D):
     """Report-style checks.
 
-    Always: det(B) must be a unit, tested as det of the zeroth
-    components over R (x -> x_0 is a ring map W(R) -> R, and x is a
-    unit exactly when x_0 is).  When the display remembers its source
+    Always: det(B) must be a unit, tested on the zeroth components
+    (x -> x_0 is a ring map W(R) -> R, and x is a unit exactly when x_0
+    is) through mx.det_is_unit.  When the display remembers its source
     window, F' = p*F'_1 is verified on the L-block generators: p times
     the stored L-column must equal kappa of sigma(E) times the window
     column, and the J-columns must be plain kappa-images.
     """
     errors = []
-    if not mx.det(mx.mmap(D.B, lambda x: x.comps[0])).is_unit():
+    if not mx.det_is_unit(mx.mmap(D.B, lambda x: x.comps[0]), D.frame.p):
         errors.append("det(B) is not a unit")
     w = D.source
     if w is None:

@@ -1,14 +1,12 @@
 """Small exact matrices over the ring elements of this package.
 
 Matrices are tuples of tuples.  Ranks stay tiny (window rank <= 4), so
-determinants and adjugates go through permutation and cofactor
-expansion, which works over any commutative ring element type that
-supports +, -, * and .zero()/.one().
+det, adjugate and inv all go through cofactor expansion, which works
+over any commutative ring element type that supports +, - and * (plain
+ints included); adjugate of a 1x1 matrix also needs .one().
 """
 
 from __future__ import annotations
-
-from itertools import permutations
 
 
 def mat(rows):
@@ -68,35 +66,24 @@ def is_zero(A):
     return all(x.is_zero() for row in A for x in row)
 
 
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def det(M):
+    """Determinant by cofactor expansion along the first row."""
     n = len(M)
     if n == 0:
         raise ValueError("empty matrix has no determinant here")
-    acc = None
-    for perm in permutations(range(n)):
-        term = M[0][perm[0]]
-        for i in range(1, n):
-            term = term * M[i][perm[i]]
-        if _perm_sign(perm) < 0:
-            term = -term
-        acc = term if acc is None else acc + term
+    if n == 1:
+        return M[0][0]
+    acc = M[0][0] * det(_minor(M, 0, 0))
+    for j in range(1, n):
+        term = M[0][j] * det(_minor(M, 0, j))
+        acc = acc - term if j % 2 else acc + term
     return acc
+
+
+def det_is_unit(M, p):
+    """Whether det(M) is a unit: x -> constant term mod p is a ring map onto the
+    residue field F_p of the local rings S, R (E -> 0) and T (p*v - u^e -> 0)."""
+    return det(mmap(M, lambda x: x.constant_term())) % p != 0
 
 
 def _minor(M, i, j):
@@ -116,15 +103,16 @@ def adjugate(M):
         row = []
         for j in range(n):
             cof = det(_minor(M, j, i))
-            if (i + j) % 2:
-                cof = -cof
-            row.append(cof)
+            row.append(-cof if (i + j) % 2 else cof)
         out.append(tuple(row))
     return tuple(out)
 
 
 def inv(M):
-    """Inverse via adjugate; requires det(M) to be a unit."""
-    d = det(M)
+    """Inverse via adjugate; det(M) = sum_j M[0][j] * adj[j][0] must be a unit."""
+    adj = adjugate(M)
+    d = M[0][0] * adj[0][0]
+    for j in range(1, len(M)):
+        d = d + M[0][j] * adj[j][0]
     dinv = d.invert()
-    return mmap(adjugate(M), lambda x: x * dinv)
+    return mmap(adj, lambda x: x * dinv)

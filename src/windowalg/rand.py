@@ -54,7 +54,7 @@ def random_unit_matrix(rng, frame, n, terms=2, tmax=1, umax=None):
                 row.append(random_maximal(rng, frame, terms, tmax=tmax, umax=umax))
         rows.append(tuple(row))
     A = mx.mat(rows)
-    if not mx.det(A).is_unit():
+    if not mx.det_is_unit(A, frame.p):
         raise AssertionError("generator produced a non-unit determinant")
     return A
 

@@ -477,7 +477,14 @@ class Frame:
         return cls(p, r, e, a, N, D, L, items)
 
     def at_level(self, a):
-        return replace(self, a=a)
+        """self at level a, or one frame per other level, shared through the caches."""
+        if a == self.a:
+            return self
+        frame = self._cache.get(("level", a))
+        if frame is None:
+            frame = self._cache[("level", a)] = replace(self, a=a)
+            frame._cache[("level", self.a)] = self
+        return frame
 
     # -- derived data ---------------------------------------------------
 

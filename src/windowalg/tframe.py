@@ -212,7 +212,7 @@ def base_change_T(w, level=None):
     level = w.level if level is None else level
     A = mx.mmap(w.A, lambda x: TElem.embed(x, level))
     tw = TWindow(w.frame, level, w.d, w.c, A)
-    if not mx.det(tw.A).is_unit():
+    if not mx.det_is_unit(tw.A, w.frame.p):
         raise ValueError("base change lost invertibility; invalid window")
     return tw
 

@@ -8,8 +8,6 @@ the boundary and normal-decomposed immediately.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import matrices as mx
 from .series import FrameMismatchError, PrecisionError
 
@@ -64,6 +62,7 @@ class Window:
 
 
 def make_window(frame, d, c, A):
+    """Window (d, c, A); A must be invertible over S, tested on constant terms."""
     A = mx.mat(A)
     n = d + c
     if d < 0 or c < 0 or n < 1:
@@ -74,7 +73,7 @@ def make_window(frame, d, c, A):
         for x in row:
             if x.frame != frame or x.tag != "S":
                 raise FrameMismatchError("window entries must live in the frame's series ring")
-    if not mx.det(A).is_unit():
+    if not mx.det_is_unit(A, frame.p):
         raise ValueError("det(A) is not a unit")
     return Window(frame, d, c, A)
 
@@ -266,6 +265,8 @@ def vanishing_hom_dim(w1, w2, sub_a):
     rational solution space.  Layer-by-layer in the residue field this
     is the morphism equation solved coefficient-wise.
     """
+    from fractions import Fraction
+
     frame = w1.frame
     if w2.frame != frame:
         raise FrameMismatchError("windows over different frames")
@@ -326,25 +327,22 @@ class SpecialFiber:
 def special_fiber(w):
     """Invariants of the window over the residue ring of (t, u).
 
-    Phi0 is blockdiag(I_d, E*I_c) * A^(-1) with t and u sent to zero;
-    nilpotence uses the V-operator surrogate N0 = blockdiag(0_d, I_c) *
-    A0^(-1) mod p, raised to the height-th power.  A0^(-1) is read off
-    the constant terms of A^(-1): sending t and u to zero is a ring map.
-    The Frobenius twist of each step is the identity on residues mod p
-    (Fermat), so the product needs no twisting.
+    Sending t and u to zero is a ring map S -> Z/p^N, so everything is
+    read on the matrix A0 of constant terms: Phi0 is blockdiag(I_d,
+    E(0)*I_c) * A0^(-1), and nilpotence uses the V-operator surrogate
+    N0 = blockdiag(0_d, I_c) * A0^(-1) mod p, raised to the height-th
+    power.  The Frobenius twist of each step is the identity on
+    residues mod p (Fermat), so the product needs no twisting.
     """
     frame = w.frame
     n = w.height
     pmod = frame.p**frame.N
     A0 = [[x.constant_term() % pmod for x in row] for row in w.A]
-    Ainv = mx.inv(w.A)
-    E = frame.E
-    scaled = tuple(
-        tuple(x * E if i >= w.d else x for x in row) for i, row in enumerate(Ainv)
-    )
-    Phi0 = [[x.constant_term() % pmod for x in row] for row in scaled]
+    inv0 = mx.mmap(mx.inv(mx.mmap(A0, frame.const)), lambda x: x.constant_term())
+    E0 = frame.E.constant_term()
+    Phi0 = [[x * E0 % pmod if i >= w.d else x for x in row] for i, row in enumerate(inv0)]
     p = frame.p
-    N0 = [[x.constant_term() % p if i >= w.d else 0 for x in row] for i, row in enumerate(Ainv)]
+    N0 = [[x % p if i >= w.d else 0 for x in row] for i, row in enumerate(inv0)]
     prod = [row[:] for row in N0]
     for _ in range(n - 1):
         prod = [

@@ -216,3 +216,23 @@ def random_isogeny(rng, frame, d, c, max_exp=1):
 
 def make_rng(seed):
     return random.Random(seed)
+
+
+def special_fiber_oracle(w):
+    """(A0, Phi0, nilpotent) read off the full series inverse A^(-1):
+    Phi0 = blockdiag(I_d, E*I_c) * A^(-1) and N0 = blockdiag(0_d, I_c)
+    * A^(-1), both with t and u sent to zero, N0 taken mod p."""
+    frame, n = w.frame, w.height
+    p, pmod = frame.p, frame.p**frame.N
+    A0 = [[x.constant_term() % pmod for x in row] for row in w.A]
+    Ainv = mx.inv(w.A)
+    scaled = [[x * frame.E if i >= w.d else x for x in row] for i, row in enumerate(Ainv)]
+    Phi0 = [[x.constant_term() % pmod for x in row] for row in scaled]
+    N0 = [[x.constant_term() % p if i >= w.d else 0 for x in row] for i, row in enumerate(Ainv)]
+    prod = [row[:] for row in N0]
+    for _ in range(n - 1):
+        prod = [
+            [sum(prod[i][k] * N0[k][j] for k in range(n)) % p for j in range(n)]
+            for i in range(n)
+        ]
+    return A0, Phi0, all(x == 0 for row in prod for x in row)

@@ -358,3 +358,13 @@ def test_parse_error_columns_point_at_the_offending_token(capsys, tmp_path):
     code, out = run_cli(capsys, ["validate", path, "--machine"])
     assert code == 2
     assert out == "frame = valid\nparse_error = line 14, col 14: variable t1 out of range (r = 0)\n"
+
+
+def test_cli_import_leaves_fractions_and_selftest_unloaded():
+    code = (
+        "import sys, windowalg.cli; "
+        "print([m for m in ('fractions', 'windowalg.selftest') if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -205,3 +205,21 @@ def test_R_tagged_constructors_reduce_mod_E():
     assert f.u().reduce_mod_E() == f.const(6, "R")
     assert f.series("u", tag="R") == f.const(6, "R")
     assert f.elem({(1,): 1}, "R") == f.const(6, "R")
+
+
+def test_frame_at_level_shares_one_frame_per_level():
+    from windowalg.rand import random_window
+    from windowalg.series import MAX_UCAP
+
+    f = frame313()
+    assert f.at_level(f.a) is f
+    assert f.at_level(2) is f.at_level(2)
+    assert f.at_level(2).at_level(f.a) is f
+    w = random_window(make_rng(131), f, d=1, c=1)
+    for b in (2, 4):
+        low = w.at_level(b)
+        assert low.frame is f.at_level(b)
+        assert all(x.frame is low.frame for row in low.A for x in row)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            f.at_level(MAX_UCAP + 1)  # a*e = MAX_UCAP + 1 with e = 1
