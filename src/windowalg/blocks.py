@@ -175,7 +175,7 @@ def parse_series(frame, text, line=1, col=1):
 # -- canonical rendering ------------------------------------------------------
 
 
-def _mono_str(key, r, uvar="u"):
+def _mono_str(key, r):
     parts = []
     for i in range(r):
         if key[i] == 1:
@@ -184,13 +184,13 @@ def _mono_str(key, r, uvar="u"):
             parts.append("t%d^%d" % (i + 1, key[i]))
     j = key[-1]
     if j == 1:
-        parts.append(uvar)
+        parts.append("u")
     elif j > 1:
-        parts.append("%s^%d" % (uvar, j))
+        parts.append("u^%d" % j)
     return "*".join(parts)
 
 
-def render_table(tbl, r, uvar="u"):
+def render_table(tbl, r):
     """Deterministic rendering: graded lexicographic monomial order,
     least non-negative residues."""
     if not tbl:
@@ -199,7 +199,7 @@ def render_table(tbl, r, uvar="u"):
     # ascending total degree; within a degree, t1 > t2 > ... > u
     for key in sorted(tbl, key=lambda k: (sum(k), tuple(-x for x in k))):
         c = tbl[key]
-        mono = _mono_str(key, r, uvar)
+        mono = _mono_str(key, r)
         if not mono:
             terms.append(str(c))
         elif c == 1:

@@ -35,7 +35,7 @@ so elements and frames are safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 # Hard ceiling on a*e so level changes (lifting, rigidity at level a*p)
@@ -476,6 +476,11 @@ class Frame:
         items = tuple(sorted((k, c % pmod) for k, c in tbl.items() if c % pmod))
         return cls(p, r, e, a, N, D, L, items)
 
+    def __eq__(self, other):  # identity first: elements share their frame
+        return self is other or type(other) is Frame and all(
+            getattr(self, f.name) == getattr(other, f.name) for f in fields(Frame)
+        )
+
     def at_level(self, a):
         """self at level a, or one frame per other level, shared through the caches."""
         if a == self.a:
@@ -632,7 +637,7 @@ class SeriesElem:
     def _check(self, other):
         if not isinstance(other, SeriesElem):
             raise TypeError("expected a series element")
-        if self.tag != other.tag or self.frame is not other.frame and self.frame != other.frame:
+        if (self.tag, self.frame) != (other.tag, other.frame):  # tuples test identity first
             raise FrameMismatchError("operands live in different rings")
 
     def _wrap(self, tbl):

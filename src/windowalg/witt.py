@@ -126,11 +126,8 @@ class WittVec:
         return len(self.comps)
 
     def _compat(self, other):
-        if (
-            self.tag != other.tag
-            or (self.frame is not other.frame and self.frame != other.frame)
-            or self.p != other.p
-            or self.pexp != other.pexp
+        if (self.tag, self.frame, self.p, self.pexp) != (  # tuples test identity first
+            other.tag, other.frame, other.p, other.pexp
         ):
             raise FrameMismatchError("Witt operands over different base rings")
         if len(self.comps) != len(other.comps):

@@ -7,9 +7,9 @@ window base changes assembled from first principles.
 
 import random
 
-from windowalg import Frame, make_window
+from windowalg import Frame, TElem, make_window
 from windowalg import matrices as mx
-from windowalg.rand import random_maximal, random_series, random_unit
+from windowalg.rand import random_maximal, random_series, random_unit, random_window
 
 
 def frame313(**kw):
@@ -236,3 +236,43 @@ def special_fiber_oracle(w):
             for i in range(n)
         ]
     return A0, Phi0, all(x == 0 for row in prod for x in row)
+
+
+def solve_iso_reference(w1, w2, level):
+    """X = I + vY with Y = sum of Psi^k(D) over every k < level, the full-level
+    loop: Psi(Y) = (pC^(-1) * A2^(-1) * sigma(Y) * A1 * C) * s, s = p^(p-2) v^(p-1)."""
+    from windowalg.tframe import _c_matrix, _pc_inverse
+
+    frame, n, d, c = w1.frame, w1.height, w1.d, w1.c
+    emb = lambda M: mx.mmap(M, lambda x: TElem.embed(x, level))
+    A2_inv = mx.inv(w2.A)
+    Gm = mx.msub(mx.mmul(A2_inv, w1.A), mx.identity(n, frame.one()))
+    shift = lambda x: frame.elem({k[:-1] + (k[-1] - frame.e,): v for k, v in x.coeffs.items()})
+    CT = _c_matrix(frame, level, d, c)
+    pCinv = _pc_inverse(frame, level, d, c)
+    A2T_inv, A1C = emb(A2_inv), mx.mmul(emb(w1.A), CT)
+    s = TElem.v(frame, level, frame.p - 1) * (frame.p ** (frame.p - 2))
+
+    def psi(Y):
+        sig = mx.mmap(Y, lambda x: x.sigma())
+        return mx.mscal(mx.mmul(pCinv, mx.mmul(A2T_inv, mx.mmul(sig, A1C))), s)
+
+    Y = mx.zeros(n, n, TElem(frame, level, []))
+    term = mx.mmul(pCinv, mx.mmul(emb(mx.mmap(Gm, shift)), CT))
+    for _ in range(level):
+        Y = mx.madd(Y, term)
+        term = psi(term)
+    one = TElem.const(frame, level, 1)
+    return mx.madd(mx.identity(n, one), mx.mscal(Y, TElem.v(frame, level)))
+
+
+def random_solve_pair(rng, frame, d, c, terms=2):
+    """(w1, w2) with A2 = A1 * (I + u^e * Z) for a random Z, so solve_iso applies."""
+    w1 = random_window(rng, frame, d=d, c=c, terms=terms)
+    n = d + c
+    Z = mx.mat(
+        [[random_series(rng, frame, terms=terms, tmax=1) for _ in range(n)] for _ in range(n)]
+    )
+    uZ = mx.mscal(Z, frame.u(frame.e))
+    A2 = mx.mmul(w1.A, mx.madd(mx.identity(n, frame.one()), uZ))
+    return w1, make_window(frame, d, c, A2)

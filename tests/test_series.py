@@ -223,3 +223,17 @@ def test_frame_at_level_shares_one_frame_per_level():
     for _ in range(2):
         with pytest.raises(ValueError):
             f.at_level(MAX_UCAP + 1)  # a*e = MAX_UCAP + 1 with e = 1
+
+
+def test_frame_equality_is_by_value_with_an_identity_shortcut():
+    from windowalg import tau
+
+    f1, f2 = frame_e2(), frame_e2()
+    assert f1 is not f2 and f1 == f2 and not f1 != f2
+    assert hash(f1) == hash(f2)
+    assert tau(f1) is tau(f2)  # the lru_cache hits for a rebuilt equal frame
+    assert f1 != frame_e2(N=6) and f1 != frame_e2(E="u^2 + 3")
+    assert f1 != f1.at_level(1) and f1.at_level(1) == frame_e2(a=1)
+    assert not f1 == 3 and f1 != 3
+    x = f1.u() + 1
+    assert x == f2.u() + 1  # elements over equal frames still compare equal

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from windowalg import (
     Frame,
@@ -12,11 +14,20 @@ from windowalg import (
     t_add,
     t_mul,
     t_sigma,
+    validate_frame,
 )
 from windowalg import matrices as mx
-from windowalg.rand import random_series, random_window
+from windowalg.rand import random_frame, random_series, random_window
 
-from helpers import frame313, frame_e2, make_rng, iso_target, upper_q_matrix
+from helpers import (
+    frame313,
+    frame_e2,
+    iso_target,
+    make_rng,
+    random_solve_pair,
+    solve_iso_reference,
+    upper_q_matrix,
+)
 
 
 def test_u_rewrites_to_pv():
@@ -329,3 +340,60 @@ def test_T_inverse_of_v_plus_eps_against_the_geometric_series():
             term = term * step
         veps = TElem.v(f, level) + TElem.embed(f.epsilon, level)
         assert veps.invert() == total
+
+
+@st.composite
+def solver_cases(draw):
+    """(frame, d, c, seed) with p in {3, 5, 7}, e <= 2, r <= 1, d + c <= 3 and a level
+    up to p + 1, past the p - 1 where the first Psi iterate can be nonzero."""
+    p, r, e = draw(st.sampled_from([3, 5, 7])), draw(st.integers(0, 1)), draw(st.integers(1, 2))
+    E = "u^%d + %d*(1 + t1)" % (e, p) if r else "u^%d + %d" % (e, p)
+    E += " + %d*u" % p if e > 1 else ""
+    f = Frame.make(p, r, e, draw(st.integers(1, p + 1)), p + 1, 2, 2, E)
+    d = draw(st.integers(0, 2))
+    c = draw(st.integers(1 if d == 0 else 0, 3 - d))
+    return f, d, c, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=60, deadline=None)
+@given(solver_cases())
+def test_solver_matches_the_full_level_loop(case):
+    # the sum that stops at the first zero iterate equals the sum over every
+    # k < level, at every level of the frame
+    f, d, c, seed = case
+    w1, w2 = random_solve_pair(make_rng(seed), f, d, c)
+    for level in range(1, f.a + 1):
+        assert mx.meq(solve_iso(w1, w2, level), solve_iso_reference(w1, w2, level))
+
+
+def test_solver_takes_two_psi_steps_at_p3_level6(monkeypatch):
+    # valuations of the iterates are >= 0, 2, 8, so Psi(Psi(D)) vanishes mod v^6:
+    # two Psi steps plus the residual, n^2 sigmas each (the full loop takes 7 n^2)
+    f = Frame.make(3, 1, 2, 6, 8, 3, 2, "u^2 + 3*t1*u + 3*(1 + t1)")
+    sigma = TElem.sigma
+    for d, c in ((1, 1), (1, 2)):
+        w1, w2 = random_solve_pair(make_rng(520 + c), f, d, c)
+        expect = solve_iso_reference(w1, w2, f.a)
+        calls = []
+        monkeypatch.setattr(TElem, "sigma", lambda x: calls.append(x) or sigma(x))
+        X = solve_iso(w1, w2)
+        monkeypatch.undo()
+        assert len(calls) <= 3 * (d + c) ** 2
+        assert mx.meq(X, expect)
+
+
+def test_solver_precision_shadow():
+    # the same integer matrices solved at N and at N + 2 agree mod p^N:
+    # reducing coefficients mod p^N is a ring map of T that fixes X = I mod v
+    rng = make_rng(521)
+    for _ in range(30):
+        p, N = rng.choice([3, 5, 7]), rng.randint(2, 4)
+        hi = random_frame(rng, p=p, e=rng.randint(1, 3), a=rng.randint(1, 5), N=N + 2)
+        lo = Frame.make(p, hi.r, hi.e, hi.a, N, hi.D, hi.L, dict(hi.E_items))
+        assert validate_frame(lo) == []
+        d = rng.randint(0, 2)
+        w1, w2 = random_solve_pair(rng, hi, d, rng.randint(max(1 - d, 0), 3 - d))
+        down = lambda w: make_window(lo, w.d, w.c, mx.mmap(w.A, lambda x: lo.elem(x.coeffs)))
+        X_hi = solve_iso(w1, w2)
+        X_lo = solve_iso(down(w1), down(w2))
+        assert mx.meq(mx.mmap(X_hi, lambda x: TElem(lo, x.level, x.coeffs)), X_lo)
