@@ -305,6 +305,8 @@ def build_window(frame, block):
     from .window import make_window
 
     level = block.get_int("a", frame.a)
+    if level < 1:
+        raise ValueError("window level must be at least 1")
     d = block.get_int("d")
     c = block.get_int("c")
     wframe = frame.at_level(level)

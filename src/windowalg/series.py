@@ -472,7 +472,7 @@ class Frame:
             tbl = blocks.parse_poly(E, r)
         else:
             tbl = dict(E)
-        pmod = p**N
+        pmod = p**N or 1  # p = 0 is refused by validate_frame, not by a modulo by zero
         items = tuple(sorted((k, c % pmod) for k, c in tbl.items() if c % pmod))
         return cls(p, r, e, a, N, D, L, items)
 

@@ -5,17 +5,17 @@ u^e produced by multiplication is rewritten as p*v immediately.  In
 this ring E = p(v + epsilon), so p and E differ by a unit, and sigma
 acts on v by sigma(v) = p^(p-1) v^p.
 
-The solver takes two window matrices that agree modulo u^e and returns
-the unique X = I + vY over T_a with A2*C*X = sigma(X)*A1*C.  Y sums the
-iterates of Psi(Y) = pC^(-1)*A2^(-1)*sigma(Y)*s*A1*C, s = p^(p-2) v^(p-1),
-on D = pC^(-1)*Z*C up to the first zero one: Psi is linear, so every later
-one is zero too, and each step multiplies by v^(p-1) while v^a = 0.
+The solver takes two window matrices with A1 - A2 in u^e*S and returns
+the unique X = I + vY over T_a with A2*C*X = sigma(X)*A1*C.  As v^a = 0,
+Y is needed only mod v^(a-1); there it sums the iterates of Psi(Y) =
+pC^(-1)*A2^(-1)*sigma(Y)*s*A1*C, s = p^(p-2) v^(p-1), on D = pC^(-1)*Z*C
+up to the first zero one: Psi is linear and multiplies by v^(p-1).
 """
 
 from __future__ import annotations
 
 from . import matrices as mx
-from .series import FrameMismatchError, PrecisionError, SeriesElem, newton_inverse
+from .series import FrameMismatchError, PrecisionError, SeriesElem, newton_inverse, validate_frame
 
 
 class HypothesisError(ValueError):
@@ -244,52 +244,55 @@ def _pc_inverse(frame, level, d, c):
 def solve_iso(w1, w2, level=None):
     """Unique X in GL(T_level) with A2*C*X = sigma(X)*A1*C and X = I mod v.
 
-    Both windows must share the frame and shape, and their matrices
-    must satisfy A2^(-1)*A1 = I + u^e*Z over the series ring.  The Psi
-    iterates are summed up to the first zero one, which is exact as Psi is
-    linear; Psi puts s on sigma(Y) first, so band_mul never forms the terms
-    s would push past v^level.  The residual of X is checked to be zero.
+    The windows must share a valid frame and their shape, and A1 - A2 must lie
+    in u^e*S (A2 is invertible: A2^(-1)*A1 = I + u^e*Z), checked before any
+    inverse.  T_level -> T_lv, lv = max(level - 1, 1), is a ring map commuting
+    with sigma and vY needs Y only mod v^lv, so A2^(-1), Z and the Psi sum run
+    at lv and vY is a band shift.  The full-level residual of X must be zero.
     """
     if w1.frame != w2.frame:
         raise FrameMismatchError("windows over different frames")
     if (w1.d, w1.c) != (w2.d, w2.c):
         raise ValueError("windows of different shape")
     frame = w1.frame
+    if errors := validate_frame(frame):
+        raise ValueError("invalid frame: " + "; ".join(errors))
     level = frame.a if level is None else level
     if level > frame.a:
         raise ValueError("v-level exceeds the frame truncation level")
+    if level < 1:
+        raise ValueError("v-level must be at least 1")
     d, c = w1.d, w1.c
     n = d + c
-    e = frame.e
+    lv = max(level - 1, 1)
+    low = frame.at_level(lv)
+    clip = lambda M: mx.mmap(M, lambda x: x.at_level(lv))
+    emb = lambda M: mx.mmap(M, lambda x: TElem.embed(x, lv))
 
-    A2_inv = mx.inv(w2.A)
-    G = mx.mmul(A2_inv, w1.A)
-    ident_s = mx.identity(n, frame.one())
-    Gm = mx.msub(G, ident_s)
-    ring = frame.ring("S")
+    shift = lambda x: SeriesElem(frame, "S", frame.ring("S").shift_u(x.packed, -frame.e))
     try:
-        Z = mx.mmap(Gm, lambda x: SeriesElem(frame, "S", ring.shift_u(x.packed, -e)))
+        W = clip(mx.mmap(mx.msub(w1.A, w2.A), shift))
     except ValueError:
         raise HypothesisError("A2^(-1)*A1 is not congruent to I modulo u^e") from None
 
-    emb = lambda M: mx.mmap(M, lambda x: TElem.embed(x, level))
-    CT = _c_matrix(frame, level, d, c)
-    pCinv = _pc_inverse(frame, level, d, c)
+    A2_inv = mx.inv(clip(w2.A))
+    CT = _c_matrix(low, lv, d, c)
+    pCinv = _pc_inverse(low, lv, d, c)
     # formed once; embedding is a ring map, so it carries A2^(-1) to T
-    A1C = mx.mmul(emb(w1.A), CT)
+    A1C = mx.mmul(emb(clip(w1.A)), CT)
     PA = mx.mmul(pCinv, emb(A2_inv))
 
-    D = mx.mmul(pCinv, mx.mmul(emb(Z), CT))
-    # v * u^(e(p-2)) = p^(p-2) * v^(p-1)
-    s = TElem.v(frame, level, frame.p - 1) * (frame.p ** (frame.p - 2))
+    D = mx.mmul(pCinv, mx.mmul(emb(mx.mmul(A2_inv, W)), CT))
+    # v * u^(e(p-2)) = p^(p-2) * v^(p-1); on sigma(Y) first, band_mul skips its empty low bands
+    s = TElem.v(low, lv, frame.p - 1) * (frame.p ** (frame.p - 2))
     psi = lambda Y: mx.mmul(PA, mx.mmul(mx.mmap(Y, lambda x: x.sigma() * s), A1C))
 
     Y, term = D, psi(D)
     while not mx.is_zero(term):
         Y, term = mx.madd(Y, term), psi(term)
 
-    vx = TElem.v(frame, level)
-    X = mx.madd(mx.identity(n, TElem.const(frame, level, 1)), mx.mscal(Y, vx))
+    vY = mx.mmap(Y, lambda y: TElem._from_bands(frame, level, ({},) + y.bands))
+    X = mx.madd(mx.identity(n, TElem.const(frame, level, 1)), vY)
 
     if not mx.is_zero(residual(w1, w2, X, level)):
         raise PrecisionError("solver residual is nonzero")

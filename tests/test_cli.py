@@ -1,6 +1,12 @@
+import contextlib
+import io
 import subprocess
 import sys
 import time
+from datetime import timedelta
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from windowalg import blocks as blk
 from windowalg.cli import main
@@ -368,3 +374,93 @@ def test_cli_import_leaves_fractions_and_selftest_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_solve_level_below_one_is_an_error_line(capsys, tmp_path):
+    path = write(tmp_path, "a0.txt", SOLVE_JOB.replace("a = 2", "a = 0"))
+    code, out = run_cli(capsys, ["solve-iso", path, "--machine"])
+    assert code == 1
+    assert out == "error = v-level must be at least 1\n"
+
+
+def test_found_by_the_fuzz_test(capsys, tmp_path):
+    # p = 0 once ended in "error = integer modulo by zero"; a window at level 0
+    # once validated, and display then blamed tau
+    path = write(tmp_path, "p0.txt", FRAME.replace("p = 3", "p = 0"))
+    code, out = run_cli(capsys, ["validate", path, "--machine"])
+    assert code == 1
+    assert out == "error = p must be an odd prime >= 3\nframe = invalid\n"
+    path = write(tmp_path, "w0.txt", FRAME + "\n[window]\na = 0\nd = 0\nc = 1\nrow = 1\n")
+    code, out = run_cli(capsys, ["validate", path, "--machine"])
+    assert code == 1
+    assert out == "frame = valid\nerror = window level must be at least 1\nwindow1 = invalid\n"
+    code, out = run_cli(capsys, ["display", path, "--machine"])
+    assert code == 1
+    assert out == "error = window level must be at least 1\n"
+
+
+GOOD_ATOMS = ("u", "t1", "u^2", "t1*u", "(1 + u)", "(u + t1)^2")
+BAD_ATOMS = ("t2", "u^", "3*", "(1 + u")
+
+
+@st.composite
+def polys(draw, atoms):
+    """A short polynomial: up to three signed terms over small integers and atoms."""
+    out = ""
+    for i in range(draw(st.integers(1, 3))):
+        coeff, atom = draw(st.integers(-9, 9)), draw(st.one_of(st.none(), atoms))
+        term = str(abs(coeff)) if atom is None else "%d*%s" % (abs(coeff), atom)
+        out += ("-" if coeff < 0 else "" if i == 0 else " + ") + term
+    return out
+
+
+def biased(common, full):
+    """Every value of full, with those of common drawn more often."""
+    return st.one_of(common, full)
+
+
+@st.composite
+def desk_jobs(draw):
+    """(command, job text): a desk-size frame (p <= 9, r <= 1, a, N, D <= 4),
+    windows whose second matrix often agrees with the first modulo u^e, and a
+    [solve] level in -1..5.  Valid frames and window counts come up often."""
+    command = draw(st.sampled_from(["validate", "display", "solve-iso"]))
+    small = lambda lo: st.integers(lo, 4)
+    valid = st.tuples(st.sampled_from([3, 5, 7]), st.integers(0, 1), small(1), small(1), small(2),
+                      small(0), small(1), st.just(True))
+    full = st.tuples(st.integers(0, 9), st.integers(-1, 1), *[small(0)] * 5, st.just(False))
+    p, r, e, a, N, D, L, eisenstein = draw(biased(valid, full))
+    # one job in a few may hold a variable the frame lacks or a syntax error
+    good = GOOD_ATOMS if r > 0 else tuple(x for x in GOOD_ATOMS if "t1" not in x)
+    poly = polys(st.sampled_from(draw(st.sampled_from([good, good + BAD_ATOMS]))))
+    if eisenstein:
+        E = "u^%d + %d*(1 + t1)" % (e, p) if r > 0 else "u^%d + %d" % (e, p)
+    else:
+        E = draw(poly)
+    text = "[frame]\np = %d\nr = %d\ne = %d\na = %d\nN = %d\nD = %d\nL = %d\nE = %s\n" % (
+        p, r, e, a, N, D, L, E)
+    d, c = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    n = d + c
+    A1 = [[draw(poly) if i != j else "1 + " + draw(poly) for j in range(n)] for i in range(n)]
+    congruent = lambda x: st.just("(%s) + u^%d*(%s)" % (x, e, draw(poly)))
+    A2 = [[draw(biased(congruent(x), poly)) for x in row] for row in A1]
+    count = 1 if command == "display" else 2
+    levels = draw(biased(st.just((None, None)), st.tuples(*[st.one_of(st.none(), small(0))] * 2)))
+    for A, level in list(zip((A1, A2), levels))[: draw(biased(st.just(count), st.integers(0, 2)))]:
+        text += "\n[window]\n" + ("" if level is None else "a = %d\n" % level)
+        text += "d = %d\nc = %d\n" % (d, c) + "".join("row = %s\n" % ", ".join(r) for r in A)
+    level = draw(st.one_of(st.none(), st.integers(-1, 5)))
+    text += "" if level is None else "\n[solve]\na = %d\n" % level
+    return command, text
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=10))
+@given(desk_jobs())
+def test_cli_fuzz_ends_in_an_exit_code(tmp_path_factory, job):
+    # every desk-size job ends in exit 0, 1 or 2, with no exception escaping main
+    command, text = job
+    path = tmp_path_factory.mktemp("fuzz") / "job.txt"
+    path.write_text(text)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, str(path), "--machine"])
+    assert code in (0, 1, 2)

@@ -397,3 +397,64 @@ def test_solver_precision_shadow():
         X_hi = solve_iso(w1, w2)
         X_lo = solve_iso(down(w1), down(w2))
         assert mx.meq(mx.mmap(X_hi, lambda x: TElem(lo, x.level, x.coeffs)), X_lo)
+
+
+def test_solver_inverts_A2_one_v_level_down(monkeypatch):
+    # X = I + vY needs Y only mod v^(level-1): the one inverse of A2 is taken
+    # on entries clipped to that level (level 1 keeps level 1)
+    from windowalg import tframe
+
+    inv = tframe.mx.inv
+    f = frame_e2(a=4, N=6)
+    w1, w2 = random_solve_pair(make_rng(530), f, 1, 1)
+    for level in range(1, f.a + 1):
+        seen = []
+        monkeypatch.setattr(tframe.mx, "inv", lambda M: seen.append(M) or inv(M))
+        X = solve_iso(w1, w2, level)
+        monkeypatch.undo()
+        assert len(seen) == 1
+        assert {x.frame.a for row in seen[0] for x in row} == {max(level - 1, 1)}
+        assert mx.meq(X, solve_iso_reference(w1, w2, level))
+
+
+def test_solver_hypothesis_is_checked_before_inverting(monkeypatch):
+    from windowalg import tframe
+
+    f = frame_e2(a=3, N=6)
+    w1, _ = random_solve_pair(make_rng(531), f, 1, 1)
+    # A2 = A1 + 3I: A1 - A2 is not in u^e * S
+    w2 = make_window(f, 1, 1, mx.madd(w1.A, mx.identity(2, f.const(3))))
+    calls = []
+    monkeypatch.setattr(tframe.mx, "inv", lambda M: calls.append(M))
+    with pytest.raises(HypothesisError, match="not congruent to I modulo u"):
+        solve_iso(w1, w2)
+    assert calls == []
+
+
+def test_solver_at_level_one_is_the_identity():
+    # v = 0 in T_1, so X = I + vY is I whatever Y is
+    rng = make_rng(532)
+    for f in (frame313(), frame_e2(a=3, N=6)):
+        for d, c in ((1, 0), (1, 1), (0, 2)):
+            w1, w2 = random_solve_pair(rng, f, d, c)
+            X = solve_iso(w1, w2, 1)
+            assert mx.meq(X, mx.identity(d + c, TElem.const(f, 1, 1)))
+
+
+def test_solver_refuses_levels_below_one():
+    f = frame313()
+    w = make_window(f, 1, 0, ((f.one(),),))
+    for level in (0, -1):
+        with pytest.raises(ValueError, match="v-level must be at least 1"):
+            solve_iso(w, w, level)
+
+
+def test_solver_refuses_an_invalid_frame():
+    # Frame.make keeps the non-monic E = 4u + 3; before the refusal a valid
+    # pair over it ended in "solver residual is nonzero"
+    f = Frame.make(3, 0, 1, 3, 4, 2, 2, "u + 3*(u + 1)")
+    assert validate_frame(f) == ["E is not monic of u-degree e"]
+    w1 = make_window(f, 1, 0, ((f.one(),),))
+    w2 = make_window(f, 1, 0, ((f.one() + f.u(),),))
+    with pytest.raises(ValueError, match="invalid frame: E is not monic of u-degree e"):
+        solve_iso(w1, w2)
