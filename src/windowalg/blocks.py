@@ -267,13 +267,7 @@ def parse_blocks(text):
 def build_frame(block):
     from .series import Frame
 
-    p = block.get_int("p")
-    r = block.get_int("r")
-    e = block.get_int("e")
-    a = block.get_int("a")
-    N = block.get_int("N")
-    D = block.get_int("D")
-    L = block.get_int("L")
+    p, r, e, a, N, D, L = (block.get_int(key) for key in ("p", "r", "e", "a", "N", "D", "L"))
     etext = block.get("E")
     if etext is None:
         raise ParseError("missing key 'E'", block.line, 1)

@@ -30,13 +30,14 @@ SeriesElem.coeffs and TElem.coeffs return them, and the parser and
 renderer work with them.
 
 Values are immutable after construction and all operations are pure,
-so elements and frames are safe to share between threads.
+so elements and frames are safe to share between threads.  Frames are
+shared values, one per field tuple in a bounded table (see Frame).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
+from math import comb, isqrt
 
 # Hard ceiling on a*e so level changes (lifting, rigidity at level a*p)
 # cannot silently explode table sizes; it also sizes the packed u-field.
@@ -156,7 +157,7 @@ class _Kernel:
         )
 
     def const(self, n):
-        return self.norm({0: n})
+        return self.clip({0: n})
 
     def zero(self):
         return {}
@@ -439,7 +440,27 @@ class _Ring:
         return call
 
 
-@dataclass(frozen=True)
+_FIELDS = ("p", "r", "e", "a", "N", "D", "L", "E_items")
+
+
+@lru_cache(maxsize=64)
+def _frame(cls, key):
+    """The one frame of cls with these field values; a refusal is not cached."""
+    if max(key[3], 1) * key[2] > MAX_UCAP:
+        raise ValueError("a*e exceeds the configured u-cap")
+    frame = object.__new__(cls)
+    frame.__dict__.update(zip(_FIELDS, key), _key=key, _cache={})
+    return frame
+
+
+@lru_cache(maxsize=64)
+def _parse_E(text, r):
+    """The terms of E parsed from text, once per (text, r)."""
+    from . import blocks
+
+    return tuple(blocks.parse_poly(text, r).items())
+
+
 class Frame:
     """Global context for all arithmetic.
 
@@ -448,54 +469,48 @@ class Frame:
     total t-degree cap and L the default Witt length.  E_items holds the
     full polynomial E as a sorted tuple of (monomial key, coefficient).
     a*e may not exceed MAX_UCAP, on any construction path.
+
+    Frames are shared values: Frame(...) returns the one frame of its
+    fields from a table of the 64 most recently used, and every cache
+    derived from a frame (rings, E, epsilon, the u^e folds, tau) lives
+    on it.  A frame rebuilt after leaving the table is equal, not identical.
     """
 
-    p: int
-    r: int
-    e: int
-    a: int
-    N: int
-    D: int
-    L: int
-    E_items: tuple
+    def __new__(cls, p, r, e, a, N, D, L, E_items):
+        return _frame(cls, (p, r, e, a, N, D, L, E_items))
 
-    def __post_init__(self):
-        if max(self.a, 1) * self.e > MAX_UCAP:
-            raise ValueError("a*e exceeds the configured u-cap")
+    def __setattr__(self, name, value=None):
+        raise AttributeError("frames are immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):  # identity first: equal frames are mostly one object
+        return self is other or type(other) is type(self) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        return "Frame(%s)" % ", ".join("%s=%r" % kv for kv in zip(_FIELDS, self._key))
+
+    def __reduce__(self):
+        return type(self), self._key
 
     @classmethod
     def make(cls, p, r, e, a, N, D, L, E):
         """Build a frame; E is a polynomial string or a raw table."""
-        if isinstance(E, str):
-            from . import blocks
-
-            tbl = blocks.parse_poly(E, r)
-        else:
-            tbl = dict(E)
+        items = _parse_E(E, r) if isinstance(E, str) else dict(E).items()
         pmod = p**N or 1  # p = 0 is refused by validate_frame, not by a modulo by zero
-        items = tuple(sorted((k, c % pmod) for k, c in tbl.items() if c % pmod))
+        items = tuple(sorted((k, c % pmod) for k, c in items if c % pmod))
         return cls(p, r, e, a, N, D, L, items)
 
-    def __eq__(self, other):  # identity first: elements share their frame
-        return self is other or type(other) is Frame and all(
-            getattr(self, f.name) == getattr(other, f.name) for f in fields(Frame)
-        )
-
     def at_level(self, a):
-        """self at level a, or one frame per other level, shared through the caches."""
+        """The frame at level a (self when a == self.a)."""
         if a == self.a:
             return self
-        frame = self._cache.get(("level", a))
-        if frame is None:
-            frame = self._cache[("level", a)] = replace(self, a=a)
-            frame._cache[("level", self.a)] = self
-        return frame
+        return type(self)(self.p, self.r, self.e, a, self.N, self.D, self.L, self.E_items)
 
     # -- derived data ---------------------------------------------------
-
-    @cached_property
-    def _cache(self):
-        return {}
 
     @cached_property
     def layout(self):
@@ -517,6 +532,7 @@ class Frame:
         return min(self.a, self.N)
 
     def ring(self, tag, boost=0):
+        """Kernel of S, R = S/E or X (S's caps, exact integer coefficients)."""
         key = (tag, boost)
         ring = self._cache.get(key)
         if ring is None:
@@ -526,17 +542,11 @@ class Frame:
             elif tag == "R":
                 pmod = self.p ** (self.rmod_exp() + boost)
                 ring = _Kernel(self.layout, self.p, self.D, self.e, pmod, self.e, self._E_tail)
+            elif tag == "X":
+                ring = _Kernel(self.layout, self.p, self.D, self.a * self.e, None)
             else:
                 raise ValueError("unknown ring tag %r" % tag)
             self._cache[key] = ring
-        return ring
-
-    def exact_ring(self):
-        """Honest-p model: same monomial caps, exact integer coefficients."""
-        ring = self._cache.get("X")
-        if ring is None:
-            ring = _Kernel(self.layout, self.p, self.D, self.a * self.e, None)
-            self._cache["X"] = ring
         return ring
 
     # -- element constructors --------------------------------------------
@@ -553,7 +563,7 @@ class Frame:
         return x.reduce_mod_E() if tag == "R" else x
 
     def const(self, n, tag="S"):
-        return SeriesElem(self, tag, self.ring(tag).clip({0: n}))
+        return SeriesElem(self, tag, self.ring(tag).const(n))
 
     def zero(self, tag="S"):
         return SeriesElem(self, tag, {})
@@ -599,8 +609,6 @@ class Frame:
         From p^a = (E - u^e)^a * eps^(-a) and u^(a*e) = 0 one gets
         g = eps^(-a) * sum_{k>=1} C(a,k) E^(k-1) (-u^e)^(a-k).
         """
-        from math import comb
-
         ring = self.ring("S")
         E = self.E.packed
         acc = ring.zero()
@@ -772,13 +780,8 @@ def validate_frame(frame):
     f = frame
     if f.p < 3:
         errors.append("p must be an odd prime >= 3")
-    else:
-        n, d = f.p, 2
-        while d * d <= n:
-            if n % d == 0:
-                errors.append("p is not prime")
-                break
-            d += 1
+    elif any(f.p % d == 0 for d in range(2, isqrt(f.p) + 1)):
+        errors.append("p is not prime")
     if f.r < 0:
         errors.append("r must be >= 0")
     if f.e < 1:

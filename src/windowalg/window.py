@@ -272,7 +272,7 @@ def vanishing_hom_dim(w1, w2, sub_a):
         raise FrameMismatchError("windows over different frames")
     n = w1.height
     e = frame.e
-    ring = frame.exact_ring()
+    ring = frame.ring("X")
     m1 = mx.mmap(w1.phi_matrix(), lambda x: x.packed)
     m2 = mx.mmap(w2.phi_matrix(), lambda x: x.packed)
     pack = frame.layout.pack

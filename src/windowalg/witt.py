@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .series import Frame, FrameMismatchError, PrecisionError, SeriesElem, _Kernel, _Layout, _Ring
+from .series import FrameMismatchError, PrecisionError, SeriesElem, _Kernel, _Layout, _Ring
 
 
 @lru_cache(maxsize=64)
@@ -300,7 +300,6 @@ def kappa(x, length=None):
     return out
 
 
-@lru_cache(maxsize=64)  # keyed by frame value: equal frames rebuilt per job still hit
 def tau(frame):
     """The unit with p*tau = kappa(sigma(E)).
 
@@ -308,8 +307,11 @@ def tau(frame):
     from (and carries) the ghosts pi(sigma^(n+1)(E))/p, computed with one
     spare p-digit.  The quotient by E has no p-torsion, so the division
     is exact; a ghost that resists it raises PrecisionError.  The
-    Frobenius identity and the unit property are then verified.
+    Frobenius identity and the unit property are then verified.  The
+    result is kept on the frame, a shared value (see series.Frame).
     """
+    if "tau" in frame._cache:
+        return frame._cache["tau"]
     ring, L = frame.ring("R", frame.L), frame.L
     ghosts = [ring.div_exact_ppow(_pi_sigma(frame, L, frame.E.packed, frame.p ** (n + 1)), 1)
               for n in range(L)]
@@ -320,6 +322,7 @@ def tau(frame):
         raise PrecisionError("p*tau failed to match kappa(sigma(E))")
     if not t.is_unit():
         raise PrecisionError("tau is not a unit; frame invariants violated")
+    frame._cache["tau"] = t
     return t
 
 

@@ -376,6 +376,16 @@ def test_cli_import_leaves_fractions_and_selftest_unloaded():
     assert proc.stdout == "[]\n"
 
 
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    code = (
+        "import sys, windowalg.cli; "
+        "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_solve_level_below_one_is_an_error_line(capsys, tmp_path):
     path = write(tmp_path, "a0.txt", SOLVE_JOB.replace("a = 2", "a = 0"))
     code, out = run_cli(capsys, ["solve-iso", path, "--machine"])

@@ -227,13 +227,128 @@ def test_frame_at_level_shares_one_frame_per_level():
 
 def test_frame_equality_is_by_value_with_an_identity_shortcut():
     from windowalg import tau
+    from windowalg.series import _frame
 
     f1, f2 = frame_e2(), frame_e2()
-    assert f1 is not f2 and f1 == f2 and not f1 != f2
-    assert hash(f1) == hash(f2)
-    assert tau(f1) is tau(f2)  # the lru_cache hits for a rebuilt equal frame
+    assert f1 is f2
+    assert tau(f1) is tau(f2)  # tau lives on the one shared frame
+    _frame.cache_clear()
+    f3 = frame_e2()  # rebuilt after the table was cleared: distinct, equal by value
+    assert f3 is not f1 and f3 == f1 and not f3 != f1
+    assert hash(f3) == hash(f1)
     assert f1 != frame_e2(N=6) and f1 != frame_e2(E="u^2 + 3")
     assert f1 != f1.at_level(1) and f1.at_level(1) == frame_e2(a=1)
     assert not f1 == 3 and f1 != 3
     x = f1.u() + 1
-    assert x == f2.u() + 1  # elements over equal frames still compare equal
+    assert x == f3.u() + 1  # elements over equal frames still compare equal
+
+
+def test_frames_are_one_object_per_value(monkeypatch):
+    from windowalg import blocks
+
+    calls = []
+    parse = blocks.parse_poly
+    monkeypatch.setattr(blocks, "parse_poly", lambda *args: calls.append(args) or parse(*args))
+    text = "u^2 + 3*t1^2*u + 3*(2 + t1)"  # no other test parses this text
+    f = Frame.make(3, 1, 2, 3, 5, 4, 2, text)
+    assert Frame.make(3, 1, 2, 3, 5, 4, 2, text) is f
+    assert Frame.make(3, 1, 2, 3, 5, 4, 2, dict(f.E_items)) is f
+    assert Frame(f.p, f.r, f.e, f.a, f.N, f.D, f.L, f.E_items) is f
+    assert f.at_level(1).at_level(3) is f
+    assert len(calls) == 1  # E is parsed once per (text, r)
+
+
+def test_frames_rebuilt_after_leaving_the_table_interoperate():
+    from windowalg import TElem, delta, wadd
+    from windowalg.series import _frame
+
+    f = frame_e2()
+    x = f.series("1 + t1*u")
+    _frame.cache_clear()
+    g = frame_e2()
+    y = g.series("3 + u")
+    assert g is not f and g == f and hash(g) == hash(f)
+    assert x + y == f.series("4 + u + t1*u") and y * x == g.series("3 + u + 3*t1*u + t1*u^2")
+    assert TElem.embed(x, 2) + TElem.embed(y, 2) == TElem.embed(x + y, 2)
+    assert wadd(delta(x), delta(y)) == delta(x + y)
+
+
+def test_frames_pickle_and_copy_and_refuse_attribute_writes():
+    import copy
+    import pickle
+
+    from windowalg.series import _frame
+
+    f = frame_e2()
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert copy.copy(f) is f and copy.deepcopy(f) is f
+    x = f.series("1 + t1*u")
+    assert pickle.loads(pickle.dumps(x)) == x and copy.deepcopy(x).frame is f
+    assert repr(f).startswith("Frame(p=3, r=1, e=2, a=2, N=5, D=4, L=2, E_items=(((0, 0), 3), ")
+    with pytest.raises(AttributeError):
+        f.p = 5
+    with pytest.raises(AttributeError):
+        f.extra = 1
+    with pytest.raises(AttributeError):
+        del f.p
+    assert f.p == 3 and not hasattr(f, "extra")
+    data = pickle.dumps(f)
+    _frame.cache_clear()
+    g = pickle.loads(data)
+    assert g is not f and g == f
+
+
+def test_level_zero_frame_is_the_zero_ring():
+    # constants once kept their term at level 0, so A = (1) passed as invertible
+    from windowalg import make_window
+    from windowalg.blocks import parse_series
+
+    f = frame313().at_level(0)
+    assert parse_series(f, "1") == {}
+    assert f.series("1").is_zero() and f.series("1") == f.one() == f.const(7)
+    with pytest.raises(ValueError, match="not a unit"):
+        make_window(f, 1, 0, ((f.series("1"),),))
+
+
+def _sympy_expr(tbl, gens):
+    expr = 0
+    for key, c in tbl.items():
+        term = c
+        for g, k in zip(gens, key):
+            term *= g**k
+        expr += term
+    return expr
+
+
+def _sympy_table(expr, gens, D, ucap, pmod):
+    """Terms of the expanded expr with t-degree <= D and u-degree < ucap, mod pmod."""
+    from sympy import Poly
+
+    out = {}
+    for key, c in Poly(expr, *gens).terms():
+        if sum(key[:-1]) <= D and key[-1] < ucap and int(c) % pmod:
+            out[key] = int(c) % pmod
+    return out
+
+
+def test_S_products_and_E_reduction_against_sympy():
+    # rem(., E, u) over ZZ, then the t-cap and p^min(a, N): the caps are ideals
+    from sympy import expand, rem, symbols
+
+    from windowalg.rand import random_frame
+
+    rng = make_rng(251)
+    for _ in range(16):
+        f = random_frame(rng)  # p in {3, 5}, r <= 1, e <= 3, a <= 3
+        gens = symbols("t1:%d" % (f.r + 1)) + (symbols("u"),)
+        u, E = gens[-1], _sympy_expr(dict(f.E_items), gens)
+        pN, pM = f.p**f.N, f.p ** min(f.a, f.N)
+        for _ in range(3):
+            x = random_series(rng, f, terms=4, bound=pN)
+            y = random_series(rng, f, terms=4, bound=pN)
+            X, Y = _sympy_expr(x.coeffs, gens), _sympy_expr(y.coeffs, gens)
+            assert (x * y).coeffs == _sympy_table(expand(X * Y), gens, f.D, f.a * f.e, pN)
+            xr, yr = x.reduce_mod_E(), y.reduce_mod_E()
+            assert xr.coeffs == _sympy_table(rem(X, E, u), gens, f.D, f.e, pM)
+            XR, YR = _sympy_expr(xr.coeffs, gens), _sympy_expr(yr.coeffs, gens)
+            assert (xr * yr).coeffs == _sympy_table(rem(expand(XR * YR), E, u), gens, f.D, f.e, pM)

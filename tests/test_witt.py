@@ -367,3 +367,36 @@ def test_tau_precision_shadow():
         g = Frame.make(f.p, f.r, f.e, f.a, f.N + 2, f.D, f.L, dict(f.E_items))
         ring = f.ring("R")
         assert [c.packed for c in tau(f).comps] == [ring.norm(c.packed) for c in tau(g).comps]
+
+
+def test_delta_and_kappa_precision_shadow():
+    # at precision N and at N + 2, delta agrees mod p^N and kappa mod p^min(a, N)
+    from windowalg.rand import random_table
+
+    rng = make_rng(214)
+    for _ in range(20):
+        f = random_frame(rng, L=rng.randint(1, 4))
+        g = Frame.make(f.p, f.r, f.e, f.a, f.N + 2, f.D, f.L, dict(f.E_items))
+        tbl = random_table(rng, f, terms=3, bound=f.p**f.N)
+        x, y = f.elem(tbl), g.elem(tbl)
+        S, R = f.ring("S"), f.ring("R")
+        assert [c.packed for c in delta(x).comps] == [S.norm(c.packed) for c in delta(y).comps]
+        assert [c.packed for c in kappa(x).comps] == [R.norm(c.packed) for c in kappa(y).comps]
+
+
+def test_tau_is_kept_on_its_frame(monkeypatch):
+    from windowalg import witt
+    from windowalg.series import _frame
+
+    solves = []
+    solve = witt._solve_ghost
+    monkeypatch.setattr(witt, "_solve_ghost", lambda *args: solves.append(args) or solve(*args))
+    _frame.cache_clear()
+    f = frame_e2()
+    t = tau(f)
+    assert solves
+    solves.clear()
+    assert tau(f) is t and tau(frame_e2()) is t and not solves  # no ghost solve
+    _frame.cache_clear()
+    g = frame_e2()
+    assert tau(g) == t and solves  # no module-level cache: a rebuilt frame solves again
