@@ -111,7 +111,7 @@ class _PolyParser:
             try:
                 tbl = self.ring.mul(tbl, rhs)
             except OverflowError:
-                self.fail("product degree too large", tok)
+                self.fail("product too large", tok)
         return tbl
 
     def factor(self):

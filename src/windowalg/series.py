@@ -22,7 +22,8 @@ u-field holds 2*MAX_UCAP - 1, so the product of two monomials inside
 the caps is one integer add that never carries between fields, the
 t-cap is one compare (the total degree is the top field) and the u-cap
 one mask and one compare.  Every ring of a frame (S, R, boosted, exact,
-and the T-ring of tframe) shares the layout, and the layout does not
+and the T-ring of tframe, which is the S kernel of a level with p-power
+weights on its coefficients) shares the layout, and the layout does not
 depend on the level, so moving a table between rings never repacks.
 Tables keyed by exponent tuples (alpha_1, .., alpha_r, j) remain the
 outside view: Frame.elem and the TElem constructor take them,
@@ -36,6 +37,7 @@ shared values, one per field tuple in a bounded table (see Frame).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cached_property, lru_cache
 from math import comb, isqrt
 
@@ -43,8 +45,12 @@ from math import comb, isqrt
 # cannot silently explode table sizes; it also sizes the packed u-field.
 MAX_UCAP = 4096
 
-# Field width of uncapped layouts (the parser, the symbolic Witt table).
+# Field width of uncapped layouts (the parser of exact polynomials).
 _WIDE = 32
+
+# Most term pairs one uncapped product may form.  Far above what any real
+# E needs, it bounds the time of each product in the exact parse of E.
+_PAIRS = 1 << 21
 
 
 class PrecisionError(ArithmeticError):
@@ -102,9 +108,6 @@ class _Layout:
             k >>= self.tw
         return tuple(reversed(ts)) + (u,)
 
-    def pack_table(self, tbl):
-        return {self.pack(k): c for k, c in tbl.items()}
-
     def unpack_table(self, tbl):
         return {self.unpack(k): c for k, c in tbl.items()}
 
@@ -118,6 +121,11 @@ class _Kernel:
     field width then bounds exponents and overflow is refused).  When
     tail (E - u^e as packed pairs) is set the ring is the E-quotient:
     u-degree is kept below e by long division after every product.
+
+    There are two product loops.  mul sorts the inner operand by packed
+    key, so the t-cap ends each row; the Witt layer's dense tables need
+    that.  umul sorts it by u-degree, so the u-cap ends each row, and
+    leaves residues exact; the T ring needs that.
     """
 
     __slots__ = ("p", "layout", "tdeg", "ucap", "pmod", "e", "tail", "tbound", "ulim")
@@ -184,7 +192,10 @@ class _Kernel:
         return self.norm({k: c * n for k, c in f.items()})
 
     def _room(self, f, g):
-        """Refuse a product of uncapped tables that could overflow a field."""
+        """Refuse a product of uncapped tables that could overflow a field
+        or would form more than _PAIRS term pairs."""
+        if len(f) * len(g) > _PAIRS:
+            raise OverflowError("product exceeds %d term pairs" % _PAIRS)
         if f and g:
             lay = self.layout
             um, ts = lay.umask, lay.ts
@@ -219,6 +230,28 @@ class _Kernel:
         if self.tail is not None:
             return self.divmod_u_monic(out, self.tail, self.e)[1]
         return self.norm(out)
+
+    def umul(self, f, g):
+        """Product under the t-cap and the u-cap, with exact integer
+        coefficients (neither reduced nor normalized).
+
+        With g sorted by u-degree, the row for k1 ends where the u-degree
+        of k2 reaches the u-cap minus that of k1, so no pair past the
+        u-cap is formed.
+        """
+        if len(f) > len(g):
+            f, g = g, f
+        tb, um, ucap = self.tbound, self.layout.umask, self.ucap
+        out = {}
+        get = out.get
+        gs = sorted(g.items(), key=lambda kc: kc[0] & um)
+        us = [k & um for k, _ in gs]
+        for k1, c1 in f.items():
+            for k2, c2 in gs[: bisect_left(us, ucap - (k1 & um))]:
+                k = k1 + k2
+                if k < tb:
+                    out[k] = get(k, 0) + c1 * c2
+        return out
 
     def pow(self, f, n):
         result = self.one()
@@ -294,87 +327,6 @@ class _Kernel:
             raise ValueError("u-shift by %d leaves the u-field" % d)
         return {k + d: c for k, c in f.items()}
 
-    # -- T-ring bands ------------------------------------------------------
-    #
-    # T_level = S[v]/(pv - u^e, v^level) stores an element as its band
-    # vector: the v^i coefficient tables, each of u-degree < e.
-
-    def to_bands(self, raw, level):
-        """Canonical bands of raw band tables of any u-degree: a term
-        u^(m*e + j) v^i becomes p^m u^j v^(i+m), and v^level vanishes."""
-        e, p, um = self.e, self.p, self.layout.umask
-        out = [{} for _ in range(level)]
-        for i, band in enumerate(raw):
-            for k, c in band.items():
-                m = (k & um) // e
-                if i + m < level:
-                    tgt = out[i + m]
-                    key = k - m * e
-                    tgt[key] = tgt.get(key, 0) + c * p**m
-        return [self.norm(t) for t in out]
-
-    def band_mul(self, fs, gs):
-        """Product of two band vectors of one length.
-
-        One pass over the band pairs (i, j) with i + j < level adds packed
-        keys under the t-cap; a product term has u-degree < 2e, so one
-        carry pass rewriting u^e as p*v (one band up) makes it canonical.
-        """
-        level, tb = len(fs), self.tbound
-        acc = [{} for _ in range(level)]
-        for i, fi in enumerate(fs):
-            if not fi:
-                continue
-            for j in range(level - i):
-                gj = gs[j]
-                if not gj:
-                    continue
-                tgt = acc[i + j]
-                get = tgt.get
-                for k1, c1 in fi.items():
-                    for k2, c2 in gj.items():
-                        k = k1 + k2
-                        if k < tb:
-                            tgt[k] = get(k, 0) + c1 * c2
-        e, p, um, m = self.e, self.p, self.layout.umask, self.pmod
-        out = []
-        carry = {}
-        for band in acc:
-            for k, c in carry.items():
-                band[k] = band.get(k, 0) + c
-            lo, carry = {}, {}
-            for k, c in band.items():
-                if k & um < e:
-                    c %= m
-                    if c:
-                        lo[k] = c
-                else:
-                    carry[k - e] = c * p
-            out.append(lo)
-        return out
-
-    def band_sigma(self, fs):
-        """sigma on coefficients plus v -> p^(p-1) v^p.
-
-        A key passes the t-cap when p times its total t-degree does, and
-        then its t-fields scale by p without carries.  Its u-degree j < e
-        is folded first, u^(j*p) = p^m u^(j*p - m*e) v^m, because j*p
-        itself can exceed the u-field.
-        """
-        p, e, tdeg, level = self.p, self.e, self.tdeg, len(fs)
-        ts, um = self.layout.ts, self.layout.umask
-        out = [{} for _ in range(level)]
-        for i, fi in enumerate(fs[: (level - 1) // p + 1]):
-            for k, c in fi.items():
-                if (k >> ts) * p > tdeg:
-                    continue
-                u = k & um
-                m, j = divmod(u * p, e)
-                if p * i + m < level:
-                    # sigma is injective on monomials: no two keys meet
-                    out[p * i + m][(k - u) * p + j] = c * p ** ((p - 1) * i + m)
-        return [self.norm(t) for t in out]
-
     def div_exact_ppow(self, f, k):
         """Divide by p^k; every coefficient must be divisible.
 
@@ -413,31 +365,6 @@ def newton_inverse(x):
             return y
         y = y + y * err
     raise PrecisionError("unit inversion did not terminate")
-
-
-class _Ring:
-    """Tuple-keyed call surface over a _Kernel.
-
-    Tables keyed by exponent tuples (alpha_1, .., alpha_r, j) are
-    packed (exponents that do not fit are refused), the kernel method
-    of the same name runs, and table results are unpacked.  Used for
-    the symbolic Witt polynomial table; the frame rings are kernels.
-    """
-
-    def __init__(self, p, r, tdeg, ucap, pmod):
-        self.kernel = _Kernel(_Layout(r, tdeg), p, tdeg, ucap, pmod)
-
-    def __getattr__(self, name):
-        method = getattr(self.kernel, name)
-        lay = self.kernel.layout
-
-        def call(*args):
-            out = method(*(lay.pack_table(a) if isinstance(a, dict) else a for a in args))
-            if isinstance(out, tuple):
-                return tuple(lay.unpack_table(t) for t in out)
-            return lay.unpack_table(out) if isinstance(out, dict) else out
-
-        return call
 
 
 _FIELDS = ("p", "r", "e", "a", "N", "D", "L", "E_items")
@@ -538,7 +465,7 @@ class Frame:
         if ring is None:
             if tag == "S":
                 pmod = self.p ** (self.N + boost)
-                ring = _Kernel(self.layout, self.p, self.D, self.a * self.e, pmod, self.e)
+                ring = _Kernel(self.layout, self.p, self.D, self.a * self.e, pmod)
             elif tag == "R":
                 pmod = self.p ** (self.rmod_exp() + boost)
                 ring = _Kernel(self.layout, self.p, self.D, self.e, pmod, self.e, self._E_tail)

@@ -1,9 +1,12 @@
 """Arithmetic in T_a = S[[v]]/(pv - u^e, v^a) and the unique-lifting solver.
 
-Canonical form keeps the u-degree of every v-coefficient below e; any
-u^e produced by multiplication is rewritten as p*v immediately.  In
-this ring E = p(v + epsilon), so p and E differ by a unit, and sigma
-acts on v by sigma(v) = p^(p-1) v^p.
+T_a is generated over S by v = u^e/p, so it lies in S[1/p]: an element
+is one S-layout table of u-degree below a*e whose coefficient at
+u^(i*e + j) carries the weight p^(-i), standing for that coefficient
+times u^j v^i.  Sums are those of S; products, sigma and the embedding
+of S are those of S with the weights applied.  In this ring
+E = p(v + epsilon), so p and E differ by a unit, and sigma acts on v by
+sigma(v) = sigma(u^e)/p = p^(p-1) v^p.
 
 The solver takes two window matrices with A1 - A2 in u^e*S and returns
 the unique X = I + vY over T_a with A2*C*X = sigma(X)*A1*C.  As v^a = 0,
@@ -22,16 +25,27 @@ class HypothesisError(ValueError):
     """The two windows do not agree modulo u^e."""
 
 
-class TElem:
-    """Element of T_a in canonical form: a vector of v-coefficient bands.
+def _tring(frame, level):
+    """The S kernel of frame.at_level(level) and p^0 .. p^(2*level - 2),
+    kept on the frame; a level with level*e > MAX_UCAP is refused."""
+    t = frame._cache.get(("T", level))
+    if t is None:
+        ring = frame.at_level(level).ring("S")
+        t = frame._cache[("T", level)] = ring, [frame.p**i for i in range(2 * level - 1)]
+    return t
 
-    bands[i] is the packed table (frame layout) of the v^i coefficient,
-    with u-degree < e and residues mod p^N; coeffs is the same vector
-    keyed by exponent tuples.  The bands use the frame's S-ring kernel
-    for the coefficient-wise operations.
+
+class TElem:
+    """Element of T_a, one packed table in the frame layout.
+
+    T_a lies in S[1/p], generated over S by v = u^e/p.  The coefficient c
+    at u-degree k = i*e + j stands for c * u^j * v^i = c * p^(-i) * u^k,
+    so keys have u-degree below level*e and residues are mod p^N; coeffs
+    gives one table per power of v, keyed by exponent tuples.  The ring
+    is the S kernel of frame.at_level(level) with the weights p^(-i).
     """
 
-    __slots__ = ("frame", "level", "bands")
+    __slots__ = ("frame", "level", "packed")
 
     def __init__(self, frame, level, coeffs):
         """Element from v-coefficient tables keyed by exponent tuples.
@@ -39,50 +53,70 @@ class TElem:
         Keys that do not fit the frame layout are refused; terms past the
         caps are dropped, u^e becomes p*v and residues are taken mod p^N.
         """
-        ring = frame.ring("S")
+        ring, pw = _tring(frame, level)
+        e, um = frame.e, frame.layout.umask
+        tbl = {}
+        # tables from v^level on vanish; shifted, their keys could leave the u-field
+        for i, t in zip(range(level), coeffs):
+            for k, c in ring.pack(t).items():  # c*u^k*v^i has c*p^(k//e) at u^(k + i*e)
+                tbl[k + i * e] = tbl.get(k + i * e, 0) + c * pw[(k & um) // e]
         self.frame = frame
         self.level = level
-        self.bands = tuple(ring.to_bands([ring.pack(t) for t in coeffs], level))
+        self.packed = ring.clip(tbl)
 
     @classmethod
-    def _from_bands(cls, frame, level, bands):
-        """Element from canonical packed bands, taken as they are."""
+    def _of(cls, frame, level, packed):
+        """Element from a canonical packed table, taken as it is."""
         self = cls.__new__(cls)
-        bands = tuple(bands)[:level]
         self.frame = frame
         self.level = level
-        self.bands = bands + ({},) * (level - len(bands))
+        self.packed = packed
         return self
+
+    def _wrap(self, packed):
+        return TElem._of(self.frame, self.level, packed)
 
     @property
     def coeffs(self):
-        unpack = self.frame.layout.unpack_table
-        return tuple(unpack(t) for t in self.bands)
+        lay, e = self.frame.layout, self.frame.e
+        out = [{} for _ in range(self.level)]
+        for k, c in self.packed.items():
+            i = (k & lay.umask) // e
+            out[i][lay.unpack(k - i * e)] = c
+        return tuple(out)
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def const(cls, frame, level, n):
-        return cls._from_bands(frame, level, [frame.ring("S").const(n)])
+        return cls._of(frame, level, _tring(frame, level)[0].const(n))
 
     @classmethod
     def v(cls, frame, level, power=1):
-        if power >= level:
-            return cls._from_bands(frame, level, [])
-        return cls._from_bands(frame, level, [{}] * power + [{0: 1}])
+        _tring(frame, level)  # refuses level*e > MAX_UCAP
+        if power < 0:
+            raise ValueError("negative power of v")
+        return cls._of(frame, level, {power * frame.e: 1} if power < level else {})
 
     @classmethod
     def embed(cls, x, level):
-        """Canonical image of a series-ring element (u^e goes to p*v)."""
+        """Canonical image of a series-ring element: the coefficient at
+        u^k takes the weight p^(k//e), and u^k vanishes from k = level*e on."""
         if not isinstance(x, SeriesElem) or x.tag != "S":
             raise ValueError("embedding is defined on series-ring elements")
         frame = x.frame
         if frame.a < level:
             raise ValueError("series level too low for the requested v-level")
-        return cls._from_bands(frame, level, frame.ring("S").to_bands([x.packed], level))
+        ring, pw = _tring(frame, level)
+        e, um, ucap = frame.e, frame.layout.umask, ring.ucap
+        return cls._of(
+            frame,
+            level,
+            ring.norm({k: c * pw[(k & um) // e] for k, c in x.packed.items() if k & um < ucap}),
+        )
 
     def zero(self):
-        return TElem._from_bands(self.frame, self.level, [])
+        return self._wrap({})
 
     def one(self):
         return TElem.const(self.frame, self.level, 1)
@@ -97,18 +131,12 @@ class TElem:
         if isinstance(other, int):
             other = TElem.const(self.frame, self.level, other)
         self._check(other)
-        ring = self.frame.ring("S")
-        return TElem._from_bands(
-            self.frame,
-            self.level,
-            [ring.add(a, b) for a, b in zip(self.bands, other.bands)],
-        )
+        return self._wrap(_tring(self.frame, self.level)[0].add(self.packed, other.packed))
 
     __radd__ = __add__
 
     def __neg__(self):
-        ring = self.frame.ring("S")
-        return TElem._from_bands(self.frame, self.level, [ring.neg(t) for t in self.bands])
+        return self._wrap(_tring(self.frame, self.level)[0].neg(self.packed))
 
     def __sub__(self, other):
         return self + (-other)
@@ -117,12 +145,23 @@ class TElem:
         return (-self) + other
 
     def __mul__(self, other):
-        ring = self.frame.ring("S")
+        """Scaled by p^W, W = level - 1, every coefficient is an integer
+        c * p^(W - i); the exact product of the scaled tables is divided
+        back by p^(2W - k//e) at u^k."""
+        ring, pw = _tring(self.frame, self.level)
         if isinstance(other, int):
-            bands = [ring.scal(t, other) for t in self.bands]
-            return TElem._from_bands(self.frame, self.level, bands)
+            return self._wrap(ring.scal(self.packed, other))
         self._check(other)
-        return TElem._from_bands(self.frame, self.level, ring.band_mul(self.bands, other.bands))
+        e, um, W = self.frame.e, self.frame.layout.umask, self.level - 1
+
+        def up(f):
+            return {k: c * pw[W - (k & um) // e] for k, c in f.items()}
+
+        prod = ring.umul(up(self.packed), up(other.packed))
+        m = ring.pmod
+        return self._wrap(
+            {k: r for k, c in prod.items() if (r := c // pw[2 * W - (k & um) // e] % m)}
+        )
 
     __rmul__ = __mul__
 
@@ -132,18 +171,16 @@ class TElem:
         return (
             self.frame == other.frame
             and self.level == other.level
-            and self.bands == other.bands
+            and self.packed == other.packed
         )
 
     __hash__ = None
 
     def is_zero(self):
-        return all(not t for t in self.bands)
+        return not self.packed
 
     def constant_term(self):
-        if not self.bands:
-            return 0
-        return self.bands[0].get(0, 0)
+        return self.packed.get(0, 0)
 
     def is_unit(self):
         return self.constant_term() % self.frame.p != 0
@@ -152,30 +189,31 @@ class TElem:
         return newton_inverse(self)
 
     def sigma(self):
-        """sigma on coefficients plus v -> p^(p-1) v^p."""
-        bands = self.frame.ring("S").band_sigma(self.bands)
-        return TElem._from_bands(self.frame, self.level, bands)
+        """sigma on coefficients plus v -> p^(p-1) v^p: the S-ring sigma
+        u^k -> u^(pk), reweighted from p^(-k//e) to p^(-pk//e)."""
+        ring, pw = _tring(self.frame, self.level)
+        e, um = self.frame.e, self.frame.layout.umask
+        pe = self.frame.p * e
+        out = ring.sigma(self.packed)
+        return self._wrap(
+            ring.norm({k: c * pw[(k & um) // e - (k & um) // pe] for k, c in out.items()})
+        )
 
     def series_preimage(self):
         """A series-ring preimage under the canonical embedding, or None.
 
-        The v^i coefficient must be divisible by p^i; the preimage then
-        replaces p^i v^i by u^(i*e).
+        The coefficient at u^k must be divisible by p^(k//e); the
+        preimage holds the quotient at u^k.
         """
         frame = self.frame
         if frame.a < self.level:
             raise ValueError("series level too low to host a preimage")
-        ring = frame.ring("S")
-        tbl = {}
-        for i, band in enumerate(self.bands):
-            try:
-                tbl.update(ring.shift_u(ring.div_exact_ppow(band, i), i * frame.e))
-            except PrecisionError:
-                return None
-        cand = SeriesElem(frame, "S", tbl)
-        if TElem.embed(cand, self.level) != self:
+        e, um = frame.e, frame.layout.umask
+        pw = _tring(frame, self.level)[1]
+        w = {k: pw[(k & um) // e] for k in self.packed}
+        if any(c % w[k] for k, c in self.packed.items()):
             return None
-        return cand
+        return SeriesElem(frame, "S", {k: c // w[k] for k, c in self.packed.items()})
 
     def __str__(self):
         from .blocks import render_table
@@ -248,7 +286,7 @@ def solve_iso(w1, w2, level=None):
     in u^e*S (A2 is invertible: A2^(-1)*A1 = I + u^e*Z), checked before any
     inverse.  T_level -> T_lv, lv = max(level - 1, 1), is a ring map commuting
     with sigma and vY needs Y only mod v^lv, so A2^(-1), Z and the Psi sum run
-    at lv and vY is a band shift.  The full-level residual of X must be zero.
+    at lv and vY is a u-shift by e.  The full-level residual of X must be zero.
     """
     if w1.frame != w2.frame:
         raise FrameMismatchError("windows over different frames")
@@ -283,7 +321,8 @@ def solve_iso(w1, w2, level=None):
     PA = mx.mmul(pCinv, emb(A2_inv))
 
     D = mx.mmul(pCinv, mx.mmul(emb(mx.mmul(A2_inv, W)), CT))
-    # v * u^(e(p-2)) = p^(p-2) * v^(p-1); on sigma(Y) first, band_mul skips its empty low bands
+    # v * u^(e(p-2)) = p^(p-2) * v^(p-1); on sigma(Y) first, whose terms then sit at
+    # u-degree (p-1)e or more, so the u-cap ends their rows against A1C early
     s = TElem.v(low, lv, frame.p - 1) * (frame.p ** (frame.p - 2))
     psi = lambda Y: mx.mmul(PA, mx.mmul(mx.mmap(Y, lambda x: x.sigma() * s), A1C))
 
@@ -291,14 +330,16 @@ def solve_iso(w1, w2, level=None):
     while not mx.is_zero(term):
         Y, term = mx.madd(Y, term), psi(term)
 
-    vY = mx.mmap(Y, lambda y: TElem._from_bands(frame, level, ({},) + y.bands))
+    ring = _tring(frame, level)[0]
+    vY = mx.mmap(Y, lambda y: TElem._of(frame, level, ring.clip(ring.shift_u(y.packed, frame.e))))
     X = mx.madd(mx.identity(n, TElem.const(frame, level, 1)), vY)
 
     if not mx.is_zero(residual(w1, w2, X, level)):
         raise PrecisionError("solver residual is nonzero")
+    um, e = frame.layout.umask, frame.e
     for i in range(n):
         for j in range(n):
-            lead = X[i][j].bands[0]
+            lead = {k: c for k, c in X[i][j].packed.items() if k & um < e}
             expect = {0: 1} if i == j else {}
             if lead != expect:
                 raise PrecisionError("X is not congruent to I modulo v")

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .series import FrameMismatchError, PrecisionError, SeriesElem, _Kernel, _Layout, _Ring
+from .series import FrameMismatchError, PrecisionError, SeriesElem, _Kernel, _Layout
 
 
 @lru_cache(maxsize=64)
@@ -342,26 +342,18 @@ class WittPolyTable:
     def __init__(self, p, length):
         self.p = p
         self.length = length
-        ring = _Ring(p, 2 * length, None, 1, None)
-        self._ring = ring
-        xs = []
-        ys = []
-        for i in range(length):
-            key = [0] * (2 * length + 1)
-            key[i] = 1
-            xs.append({tuple(key): 1})
-            key = [0] * (2 * length + 1)
-            key[length + i] = 1
-            ys.append({tuple(key): 1})
-        gx = _ghosts_of(ring, xs, length, p)
-        gy = _ghosts_of(ring, ys, length, p)
-        self.sum_polys = tuple(
-            _solve_ghost(ring, [ring.add(a, b) for a, b in zip(gx, gy)], p)
-        )
-        self.prod_polys = tuple(
-            _solve_ghost(ring, [ring.mul(a, b) for a, b in zip(gx, gy)], p)
-        )
-        self.ghost_x = tuple(gx)
+        # no ghost, sum or product polynomial has total degree past 2*p^(L-1)
+        top = 2 * p ** (length - 1)
+        ring = self._ring = _Kernel(_Layout(2 * length, top), p, top, 1, None)
+        lay = ring.layout
+        vs = [{lay.pack((0,) * i + (1,) + (0,) * (2 * length - i)): 1} for i in range(2 * length)]
+        gx = _ghosts_of(ring, vs[:length], length, p)
+        gy = _ghosts_of(ring, vs[length:], length, p)
+        sums = _solve_ghost(ring, [ring.add(a, b) for a, b in zip(gx, gy)], p)
+        prods = _solve_ghost(ring, [ring.mul(a, b) for a, b in zip(gx, gy)], p)
+        self.sum_polys = tuple(map(lay.unpack_table, sums))
+        self.prod_polys = tuple(map(lay.unpack_table, prods))
+        self.ghost_x = tuple(map(lay.unpack_table, gx))
 
     def evaluate(self, poly, ring, xs, ys):
         """Substitute component tables for the symbolic variables."""

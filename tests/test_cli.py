@@ -1,5 +1,9 @@
 import contextlib
+import hashlib
+import importlib.util
 import io
+import json
+import os
 import subprocess
 import sys
 import time
@@ -331,6 +335,37 @@ def test_rows_are_parsed_under_the_frame_caps(capsys, tmp_path):
     code, out = run_cli(capsys, ["validate", path, "--machine"])
     assert code == 0
     assert out == "frame = valid\nwindow1 = valid\n"
+
+
+def test_exact_parse_of_E_is_bounded(capsys, tmp_path):
+    # E is multiplied out without caps; (1+u+t1)^400 once ran past 60 s
+    E = "(1 + u + t1)^400 - (1 + u + t1)^400 + u + 3"
+    job = "[frame]\np = 3\nr = 1\ne = 1\na = 2\nN = 4\nD = 3\nL = 2\nE = %s\n" % E
+    path = write(tmp_path, "E.txt", job)
+    start = time.perf_counter()
+    code, out = run_cli(capsys, ["validate", path, "--machine"])
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
+    assert out == "parse_error = line 9, col 18: exponent too large\n"
+
+
+def test_every_pinned_cli_job_matches_its_digest(capsys, tmp_path):
+    # the benchmark's corpus and pins, loaded by path and only read
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", os.path.join(bench, "corpus.py"))
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    with open(os.path.join(bench, "digests.json"), encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    for workload in ("cli-solve", "cli-display"):
+        jobs, _ = corpus.cli_jobs(workload, 1)
+        assert sorted(job.job_id for job in jobs) == sorted(pinned[workload])
+        for job in jobs:
+            path = write(tmp_path, job.job_id, job.text)
+            code, out = run_cli(capsys, [job.command, path, "--machine"])
+            assert code == 0, job.job_id
+            digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+            assert digest == pinned[workload][job.job_id], job.job_id
 
 
 def test_literal_exponent_past_32_bits_is_refused(capsys, tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from windowalg import Frame, TElem
 from windowalg.blocks import ParseError, parse_poly
-from windowalg.series import MAX_UCAP, _Ring
+from windowalg.series import MAX_UCAP, _Kernel, _Layout
 
 from helpers import divmod_oracle, mul_oracle, reduce_oracle
 
@@ -130,11 +130,12 @@ def test_overflowing_keys_are_refused():
     # exponents past a cap but inside the field are clipped, not refused
     assert f.elem({(f.D + 1, 0, 0, 0): 1}).is_zero()
     # an uncapped ring refuses a product that would carry between fields
-    ring = _Ring(3, 1, None, 1, None)
-    big = {(ring.kernel.layout.tmax, 0): 1}
-    assert ring.mul(big, {(0, 0): 2}) == {(ring.kernel.layout.tmax, 0): 2}
+    ring = _Kernel(_Layout(1, None), 3, None, 1, None)
+    lay = ring.layout
+    big = {lay.pack((lay.tmax, 0)): 1}
+    assert ring.mul(big, {lay.pack((0, 0)): 2}) == {lay.pack((lay.tmax, 0)): 2}
     with pytest.raises(OverflowError):
-        ring.mul(big, {(1, 0): 1})
+        ring.mul(big, {lay.pack((1, 0)): 1})
     with pytest.raises(ParseError):
         parse_poly("u^4294967295 * u", 1)
     with pytest.raises(ParseError):
@@ -146,16 +147,17 @@ def test_overflowing_keys_are_refused():
 
 
 @st.composite
-def t_elements(draw, frame, level):
-    """A T-ring element whose v^i coefficient is divisible by p^i, so
-    that it has a series preimage, given as tuple-keyed bands."""
+def t_elements(draw, frame, level, preimage=True):
+    """A T-ring element as tuple-keyed bands; with preimage, its v^i
+    coefficient is divisible by p^i, so that it has a series preimage."""
     p, N = frame.p, frame.N
     bands = []
     for i in range(level):
         keys = st.tuples(t_parts(frame.r, frame.D), st.integers(0, frame.e - 1))
         keys = keys.map(lambda kt: kt[0] + (kt[1],))
-        band = draw(st.dictionaries(keys, st.integers(1, p ** (N - i) - 1), max_size=4))
-        bands.append({k: c * p**i for k, c in band.items()})
+        w = i if preimage else 0
+        band = draw(st.dictionaries(keys, st.integers(1, p ** (N - w) - 1), max_size=4))
+        bands.append({k: c * p**w for k, c in band.items()})
     return bands
 
 
@@ -167,14 +169,17 @@ WIDE_SIGMA = {
 }
 
 
-def t_pair(f):
-    level = min(f.a, 3)
-    return st.tuples(t_elements(f, level), t_elements(f, level)).map(
+def t_pair(f, preimage=True):
+    level = min(f.a, 4)
+    return st.tuples(t_elements(f, level, preimage), t_elements(f, level, preimage)).map(
         lambda xy: (f, level, xy[0], xy[1])
     )
 
 
 T_FRAMES = [FRAMES["r0"], FRAMES["r3"], *WIDE_SIGMA.values()]
+
+# at level 4 > p, sigma(v) = p^2 v^3 survives, so sigma is checked past v^0
+T_LEVEL4 = Frame.make(3, 1, 2, 4, 6, 3, 2, "u^2 + 3*t1*u + 3")
 
 
 @PROPS
@@ -187,6 +192,21 @@ def test_T_product_is_embedded_series_product(case):
     assert x is not None and y is not None
     assert X * Y == TElem.embed(x * y, level)
     assert X.sigma() == TElem.embed(x.frobenius(), level)
+
+
+@PROPS
+@given(st.one_of(*(t_pair(f, preimage=False) for f in [*T_FRAMES, T_LEVEL4])))
+def test_T_product_and_sigma_of_any_elements(case):
+    """With W = level - 1, p^W*X has a series preimage x' for any X, and
+    p^(2W)*(X*Y) and p^W*sigma(X) are the images of x'*y' and sigma(x')."""
+    f, level, xb, yb = case
+    X, Y = TElem(f, level, xb), TElem(f, level, yb)
+    W = level - 1
+    x, y = (X * f.p**W).series_preimage(), (Y * f.p**W).series_preimage()
+    assert x is not None and y is not None
+    assert (X * Y) * f.p ** (2 * W) == TElem.embed(x * y, level)
+    assert X.sigma() * f.p**W == TElem.embed(x.frobenius(), level)
+    assert TElem(f, level, X.coeffs) == X
 
 
 def test_T_sigma_keeps_scaled_u_degrees_inside_the_u_field():
@@ -207,6 +227,27 @@ def test_T_constructor_takes_tuple_keyed_tables():
     assert X == TElem.embed(f.u(e + 1) + 2, 3)
     with pytest.raises(TypeError):
         TElem(f, 3, [{1: 1}])
+
+
+def test_T_refuses_levels_past_the_u_cap_and_negative_powers_of_v():
+    f = FRAMES["r0"]
+    level = MAX_UCAP // f.e + 1
+    with pytest.raises(ValueError):
+        TElem(f, level, [])
+    with pytest.raises(ValueError):
+        TElem.const(f, level, 1)
+    with pytest.raises(ValueError):
+        TElem.v(f, level)
+    with pytest.raises(ValueError):
+        TElem.v(f, 3, -1)  # a key below u^0 would not be a monomial
+
+
+def test_T_band_lists_longer_than_the_level_are_truncated():
+    # shifted by 5e = 20000, the v^5 band would leave the packed u-field
+    f = WIDE_SIGMA["p3-e4000"]
+    X = TElem(f, 1, [{(1,): 2}] + [{(0,): 1}] * 5)
+    assert X.coeffs == ({(1,): 2},)
+    assert X == TElem.embed(f.u() * 2, 1)
 
 
 def _unit_of(draw, x):
