@@ -1,124 +1,97 @@
-"""windowalg: exact sigma-linear window algebra over truncated power-series frames."""
+"""windowalg: exact sigma-linear window algebra over truncated power-series frames.
 
-from .series import (
-    Frame,
-    FrameMismatchError,
-    PrecisionError,
-    SeriesElem,
-    validate_frame,
-)
-from .witt import (
-    WittPolyTable,
-    WittVec,
-    delta,
-    from_int,
-    ghost,
-    kappa,
-    tau,
-    wadd,
-    wfrob,
-    witt_polys,
-    wmul,
-    wver,
-)
-from .window import (
-    DecompositionError,
-    SpecialFiber,
-    Triple,
-    Window,
-    WindowMorphism,
-    check_morphism,
-    check_rigidity,
-    lie,
-    lift_window,
-    make_window,
-    normal_decompose,
-    special_fiber,
-    triple_of,
-    vanishing_hom_dim,
-    window_from_phi,
-    window_of,
-)
-from .display import DDisplay, display_lie, to_display, validate_display
-from .tframe import (
-    HypothesisError,
-    TElem,
-    TWindow,
-    base_change_T,
-    nu,
-    residual,
-    solve_iso,
-    t_add,
-    t_mul,
-    t_sigma,
-)
-from .isogeny import (
-    IsogenyError,
-    IsogenyModule,
-    compose,
-    group_order,
-    make_module,
-    order_string,
-    p_length,
-    validate_breuil_module,
-)
+Each public name is listed once, under its home module, and that module
+is imported the first time the name is read (PEP 562).  So a CLI
+command compiles only the modules it runs.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Frame",
-    "SeriesElem",
-    "validate_frame",
-    "FrameMismatchError",
-    "PrecisionError",
-    "WittVec",
-    "WittPolyTable",
-    "witt_polys",
-    "wadd",
-    "wmul",
-    "wfrob",
-    "wver",
-    "ghost",
-    "delta",
-    "kappa",
-    "tau",
-    "from_int",
-    "Window",
-    "WindowMorphism",
-    "Triple",
-    "SpecialFiber",
-    "DecompositionError",
-    "make_window",
-    "normal_decompose",
-    "window_from_phi",
-    "triple_of",
-    "window_of",
-    "lift_window",
-    "check_morphism",
-    "check_rigidity",
-    "vanishing_hom_dim",
-    "special_fiber",
-    "lie",
-    "DDisplay",
-    "to_display",
-    "validate_display",
-    "display_lie",
-    "TElem",
-    "TWindow",
-    "HypothesisError",
-    "t_add",
-    "t_mul",
-    "t_sigma",
-    "base_change_T",
-    "solve_iso",
-    "residual",
-    "nu",
-    "IsogenyModule",
-    "IsogenyError",
-    "make_module",
-    "compose",
-    "p_length",
-    "group_order",
-    "order_string",
-    "validate_breuil_module",
-]
+_EXPORTS = {
+    "series": (
+        "Frame",
+        "SeriesElem",
+        "validate_frame",
+        "FrameMismatchError",
+        "PrecisionError",
+    ),
+    "witt": (
+        "WittVec",
+        "WittPolyTable",
+        "witt_polys",
+        "wadd",
+        "wmul",
+        "wfrob",
+        "wver",
+        "ghost",
+        "delta",
+        "kappa",
+        "tau",
+        "from_int",
+    ),
+    "window": (
+        "Window",
+        "WindowMorphism",
+        "Triple",
+        "SpecialFiber",
+        "DecompositionError",
+        "make_window",
+        "normal_decompose",
+        "window_from_phi",
+        "triple_of",
+        "window_of",
+        "lift_window",
+        "check_morphism",
+        "check_rigidity",
+        "vanishing_hom_dim",
+        "special_fiber",
+        "lie",
+    ),
+    "display": ("DDisplay", "to_display", "validate_display", "display_lie"),
+    "tframe": (
+        "TElem",
+        "TWindow",
+        "HypothesisError",
+        "t_add",
+        "t_mul",
+        "t_sigma",
+        "base_change_T",
+        "solve_iso",
+        "residual",
+        "nu",
+    ),
+    "isogeny": (
+        "IsogenyModule",
+        "IsogenyError",
+        "make_module",
+        "compose",
+        "p_length",
+        "group_order",
+        "order_string",
+        "validate_breuil_module",
+    ),
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    home = _HOME.get(name)
+    if home is None:  # a submodule not imported yet, as windowalg.matrices
+        try:
+            return importlib.import_module("." + name, __name__)
+        except ModuleNotFoundError as err:
+            if err.name != "%s.%s" % (__name__, name):
+                raise
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + home, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -11,22 +11,20 @@ import argparse
 import sys
 
 from . import blocks as blk
-from .display import display_lie, to_display, validate_display
-from .isogeny import IsogenyError, make_module, order_string, validate_breuil_module
 from .series import validate_frame
-from .tframe import HypothesisError, nu, solve_iso
-from .window import DecompositionError, special_fiber
+from .tframe import nu, solve_iso
 
 
 class JobSpec:
-    """Parsed job: command, frame, windows, optional matrix, format flag."""
+    """Parsed job: the command, its [window] blocks, and the blocks a job
+    holds at most once (None when absent)."""
 
-    def __init__(self, command, frame_block=None, windows=(), matrix=None, solve=None):
+    SINGLE = ("frame", "matrix", "solve")
+
+    def __init__(self, command):
         self.command = command
-        self.frame_block = frame_block
-        self.windows = list(windows)
-        self.matrix = matrix
-        self.solve = solve
+        self.windows = []
+        self.frame = self.matrix = self.solve = None
 
 
 def _load(path, command):
@@ -35,21 +33,15 @@ def _load(path, command):
     parsed = blk.parse_blocks(text)
     spec = JobSpec(command)
     for b in parsed:
-        if b.name == "frame":
-            if spec.frame_block is not None:
-                raise blk.ParseError("duplicate [frame] block", b.line, 1)
-            spec.frame_block = b
-        elif b.name == "window":
+        if b.name == "window":
             spec.windows.append(b)
-        elif b.name == "matrix":
-            if spec.matrix is not None:
-                raise blk.ParseError("duplicate [matrix] block", b.line, 1)
-            spec.matrix = b
-        elif b.name == "solve":
-            spec.solve = b
+        elif b.name in JobSpec.SINGLE:
+            if getattr(spec, b.name) is not None:
+                raise blk.ParseError("duplicate [%s] block" % b.name, b.line, 1)
+            setattr(spec, b.name, b)
         else:
             raise blk.ParseError("unknown block [%s]" % b.name, b.line, 1)
-    if spec.frame_block is None:
+    if spec.frame is None:
         raise blk.ParseError("missing [frame] block", 1, 1)
     return spec
 
@@ -89,7 +81,7 @@ class FrameError(ValueError):
 def _frame(spec):
     """The job's frame, checked against every frame invariant."""
     try:
-        frame = blk.build_frame(spec.frame_block)
+        frame = blk.build_frame(spec.frame)
     except blk.ParseError:
         raise
     except ValueError as err:  # a frame the library refuses to build
@@ -116,7 +108,7 @@ def cmd_validate(spec, out):
             out.fact("window%d" % idx, "valid")
         except blk.ParseError:
             raise
-        except (ValueError, DecompositionError) as err:
+        except ValueError as err:
             out.fact("error", str(err))
             out.fact("window%d" % idx, "invalid")
             code = 1
@@ -124,6 +116,8 @@ def cmd_validate(spec, out):
 
 
 def cmd_special_fiber(spec, out):
+    from .window import special_fiber
+
     frame = _frame(spec)
     _require_windows(spec, 1)
     w = blk.build_window(frame, spec.windows[0])
@@ -131,14 +125,15 @@ def cmd_special_fiber(spec, out):
     out.fact("height", fiber.height)
     out.fact("dim", fiber.dim)
     out.fact("nilpotent", "true" if fiber.is_nilpotent else "false")
-    for i, row in enumerate(fiber.A0):
-        out.fact("A0.row%d" % (i + 1), ", ".join(str(x) for x in row))
-    for i, row in enumerate(fiber.Phi0):
-        out.fact("Phi0.row%d" % (i + 1), ", ".join(str(x) for x in row))
+    for name, M in (("A0", fiber.A0), ("Phi0", fiber.Phi0)):
+        for i, row in enumerate(M):
+            out.fact("%s.row%d" % (name, i + 1), ", ".join(str(x) for x in row))
     return 0
 
 
 def cmd_display(spec, out):
+    from .display import display_lie, to_display, validate_display
+
     frame = _frame(spec)
     _require_windows(spec, 1)
     w = blk.build_window(frame, spec.windows[0])
@@ -161,11 +156,7 @@ def cmd_solve_iso(spec, out):
     w1 = blk.build_window(frame, spec.windows[0])
     w2 = blk.build_window(frame, spec.windows[1])
     level = spec.solve.get_int("a", frame.a) if spec.solve else frame.a
-    try:
-        X = solve_iso(w1, w2, level)
-    except HypothesisError as err:
-        out.fact("error", str(err))
-        return 1
+    X = solve_iso(w1, w2, level)
     out.fact("level", level)
     out.matrix("X", X)
     # solve_iso raises PrecisionError unless the residual vanishes exactly
@@ -174,6 +165,8 @@ def cmd_solve_iso(spec, out):
 
 
 def cmd_module(spec, out):
+    from .isogeny import make_module, order_string, validate_breuil_module
+
     frame = _frame(spec)
     _require_windows(spec, 2)
     if spec.matrix is None:
@@ -181,11 +174,7 @@ def cmd_module(spec, out):
     source = blk.build_window(frame, spec.windows[0])
     target = blk.build_window(frame, spec.windows[1])
     U = blk.parse_matrix_rows(frame.at_level(target.level), spec.matrix)
-    try:
-        module = make_module(source, target, U)
-    except IsogenyError as err:
-        out.fact("error", str(err))
-        return 1
+    module = make_module(source, target, U)
     out.fact("m", module.m)
     out.fact("p_length", module.m)
     out.fact("order", order_string(module))
@@ -246,7 +235,7 @@ def main(argv=None):
         out.fact("parse_error", str(err))
         out.flush()
         return 2
-    except (DecompositionError, IsogenyError, ValueError, OSError, ArithmeticError) as err:
+    except (ValueError, OSError, ArithmeticError) as err:
         for msg in err.args if isinstance(err, FrameError) else [str(err)]:
             out.fact("error", msg)
         out.flush()

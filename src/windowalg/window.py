@@ -343,12 +343,9 @@ def special_fiber(w):
     Phi0 = [[x * E0 % pmod if i >= w.d else x for x in row] for i, row in enumerate(inv0)]
     p = frame.p
     N0 = [[x % p if i >= w.d else 0 for x in row] for i, row in enumerate(inv0)]
-    prod = [row[:] for row in N0]
+    prod = N0
     for _ in range(n - 1):
-        prod = [
-            [sum(prod[i][k] * N0[k][j] for k in range(n)) % p for j in range(n)]
-            for i in range(n)
-        ]
+        prod = mx.mmap(mx.mmul(prod, N0), lambda x: x % p)
     nilpotent = all(x == 0 for row in prod for x in row)
     return SpecialFiber(n, w.d, A0, Phi0, nilpotent)
 

@@ -174,6 +174,14 @@ def test_duplicate_frame_block(capsys, tmp_path):
     assert "duplicate [frame] block" in out
 
 
+def test_duplicate_solve_block(capsys, tmp_path):
+    # a second [solve] block once won silently: this job ran at level 3
+    path = write(tmp_path, "dup.txt", SOLVE_JOB + "\n[solve]\na = 3\n")
+    code, out = run_cli(capsys, ["solve-iso", path, "--machine"])
+    assert code == 2
+    assert out == "parse_error = line 24, col 1: duplicate [solve] block\n"
+
+
 def test_selftest_runs_clean(capsys):
     code, out = run_cli(capsys, ["selftest", "--machine"])
     assert code == 0
@@ -206,6 +214,20 @@ row = 4
     code, out = run_cli(capsys, ["solve-iso", path, "--machine"])
     assert code == 1
     assert "not congruent to I" in out
+
+
+def test_library_refusals_are_one_error_line(capsys, tmp_path):
+    # HypothesisError and IsogenyError end in main's ValueError path
+    bad_pair = FRAME + "\n[window]\nd = 0\nc = 1\nrow = 1\n\n[window]\nd = 0\nc = 1\nrow = 4\n"
+    not_a_morphism = MODULE_JOB.replace("row = 3, 0\nrow = 0, 3", "row = 1, 1\nrow = 0, 1")
+    cases = [
+        ("solve-iso", bad_pair, "error = A2^(-1)*A1 is not congruent to I modulo u^e\n"),
+        ("module", not_a_morphism, "error = U is not a window morphism\n"),
+    ]
+    for command, job, line in cases:
+        path = write(tmp_path, "job.txt", job)
+        assert run_cli(capsys, [command, path, "--machine"]) == (1, line)
+        assert run_cli(capsys, [command, path]) == (1, "windowalg %s\n%s" % (command, line))
 
 
 def test_window_level_past_the_u_cap_is_refused(capsys, tmp_path):
@@ -419,6 +441,26 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    code = (
+        "import sys; from windowalg.cli import main; sys.argv[1:] and main(sys.argv[1:]); "
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('windowalg'))))"
+    )
+    cli = {"windowalg", "blocks", "cli", "matrices", "series", "tframe"}
+    display = write(tmp_path, "d.txt", DISPLAY_L4_JOB)
+    solve = write(tmp_path, "s.txt", SOLVE_JOB)
+    cases = [
+        ([], cli),
+        (["display", display, "--machine"], cli | {"window", "witt", "display"}),
+        (["solve-iso", solve, "--machine"], cli | {"window"}),
+    ]
+    for args, expected in cases:
+        proc = subprocess.run([sys.executable, "-c", code] + args, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stdout.splitlines()[-1].split()
+        assert loaded == sorted(m if m == "windowalg" else "windowalg." + m for m in expected)
 
 
 def test_solve_level_below_one_is_an_error_line(capsys, tmp_path):
