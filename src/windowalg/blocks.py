@@ -3,7 +3,8 @@
 Input files are sequences of blocks.  A block starts with a [name] line
 and holds "key = value" lines; matrix rows repeat the key "row".  The
 polynomial grammar over the variables u, t1..tr accepts integers, + - *
-^ and parentheses.  All parse errors carry a 1-based line and column.
+^ and parentheses; digits and names are ASCII.  All parse errors carry
+a 1-based line and column.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ def _tokenize(text, line=1, col=1):
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             try:
                 value = int(text[i:j])
@@ -43,9 +44,9 @@ def _tokenize(text, line=1, col=1):
             col += j - i
             i = j
             continue
-        if ch.isalpha():
+        if ch.isascii() and ch.isalpha():
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j].isascii() and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             tokens.append(("name", text[i:j], line, col))
             col += j - i

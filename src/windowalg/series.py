@@ -548,7 +548,57 @@ class Frame:
         return ring.mul(acc, inv_pow)
 
 
-class SeriesElem:
+class _Elem:
+    """Plumbing shared by the elements of the S, R and T rings.
+
+    A subclass holds frame and packed, supplies _ring() (its kernel),
+    _wrap(packed) (an element of the same ring) and _key() (what names
+    that ring within the class), and defines its ring operations in its
+    own body.
+    """
+
+    __slots__ = ()
+
+    def _lift(self, other):
+        """other as an element of this ring; an int becomes its constant."""
+        if isinstance(other, int):
+            return self._wrap(self._ring().const(other))
+        if type(other) is not type(self):
+            raise TypeError("expected a %s operand" % type(self).__name__)
+        if self._key() != other._key():  # tuples test identity first
+            raise FrameMismatchError("operands live in different rings")
+        return other
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key() and self.packed == other.packed
+
+    __hash__ = None
+
+    def is_zero(self):
+        return not self.packed
+
+    def zero(self):
+        return self._wrap({})
+
+    def one(self):
+        return self._wrap(self._ring().const(1))
+
+    def constant_term(self):
+        return self.packed.get(0, 0)
+
+    def is_unit(self):
+        return self.constant_term() % self.frame.p != 0
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, self)
+
+
+class SeriesElem(_Elem):
     """Element of the truncated series ring (tag "S") or its E-quotient (tag "R").
 
     packed is the normalized packed table; coeffs is the same table
@@ -569,21 +619,16 @@ class SeriesElem:
     def _ring(self):
         return self.frame.ring(self.tag)
 
-    def _check(self, other):
-        if not isinstance(other, SeriesElem):
-            raise TypeError("expected a series element")
-        if (self.tag, self.frame) != (other.tag, other.frame):  # tuples test identity first
-            raise FrameMismatchError("operands live in different rings")
-
     def _wrap(self, tbl):
         return SeriesElem(self.frame, self.tag, tbl)
+
+    def _key(self):
+        return self.tag, self.frame
 
     # -- ring structure ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = self.frame.const(other, self.tag)
-        self._check(other)
+        other = self._lift(other)
         return self._wrap(self._ring().add(self.packed, other.packed))
 
     __radd__ = __add__
@@ -592,46 +637,19 @@ class SeriesElem:
         return self._wrap(self._ring().neg(self.packed))
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = self.frame.const(other, self.tag)
-        self._check(other)
+        other = self._lift(other)
         return self._wrap(self._ring().sub(self.packed, other.packed))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self._wrap(self._ring().scal(self.packed, other))
-        self._check(other)
+        other = self._lift(other)
         return self._wrap(self._ring().mul(self.packed, other.packed))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         return self._wrap(self._ring().pow(self.packed, n))
-
-    def __eq__(self, other):
-        if not isinstance(other, SeriesElem):
-            return NotImplemented
-        return self.frame == other.frame and self.tag == other.tag and self.packed == other.packed
-
-    __hash__ = None
-
-    def is_zero(self):
-        return not self.packed
-
-    def zero(self):
-        return self.frame.zero(self.tag)
-
-    def one(self):
-        return self.frame.one(self.tag)
-
-    def constant_term(self):
-        return self.packed.get(0, 0)
-
-    def is_unit(self):
-        return self.constant_term() % self.frame.p != 0
 
     def invert(self):
         return newton_inverse(self)
@@ -693,9 +711,6 @@ class SeriesElem:
         from . import blocks
 
         return blocks.render_table(self.coeffs, self.frame.r)
-
-    def __repr__(self):
-        return "SeriesElem(%s)" % self
 
 
 def validate_frame(frame):

@@ -18,7 +18,8 @@ up to the first zero one: Psi is linear and multiplies by v^(p-1).
 from __future__ import annotations
 
 from . import matrices as mx
-from .series import FrameMismatchError, PrecisionError, SeriesElem, newton_inverse, validate_frame
+from .series import FrameMismatchError, PrecisionError, SeriesElem, _Elem
+from .series import newton_inverse, validate_frame
 
 
 class HypothesisError(ValueError):
@@ -35,7 +36,7 @@ def _tring(frame, level):
     return t
 
 
-class TElem:
+class TElem(_Elem):
     """Element of T_a, one packed table in the frame layout.
 
     T_a lies in S[1/p], generated over S by v = u^e/p.  The coefficient c
@@ -73,8 +74,14 @@ class TElem:
         self.packed = packed
         return self
 
+    def _ring(self):
+        return _tring(self.frame, self.level)[0]
+
     def _wrap(self, packed):
         return TElem._of(self.frame, self.level, packed)
+
+    def _key(self):
+        return self.level, self.frame
 
     @property
     def coeffs(self):
@@ -115,34 +122,19 @@ class TElem:
             ring.norm({k: c * pw[(k & um) // e] for k, c in x.packed.items() if k & um < ucap}),
         )
 
-    def zero(self):
-        return self._wrap({})
-
-    def one(self):
-        return TElem.const(self.frame, self.level, 1)
-
     # -- ring operations ----------------------------------------------------
 
-    def _check(self, other):
-        if (self.level, self.frame) != (other.level, other.frame):  # tuples test identity first
-            raise FrameMismatchError("T-ring operands differ in frame or level")
-
     def __add__(self, other):
-        if isinstance(other, int):
-            other = TElem.const(self.frame, self.level, other)
-        self._check(other)
-        return self._wrap(_tring(self.frame, self.level)[0].add(self.packed, other.packed))
+        other = self._lift(other)
+        return self._wrap(self._ring().add(self.packed, other.packed))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._wrap(_tring(self.frame, self.level)[0].neg(self.packed))
+        return self._wrap(self._ring().neg(self.packed))
 
     def __sub__(self, other):
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         """Scaled by p^W, W = level - 1, every coefficient is an integer
@@ -151,7 +143,7 @@ class TElem:
         ring, pw = _tring(self.frame, self.level)
         if isinstance(other, int):
             return self._wrap(ring.scal(self.packed, other))
-        self._check(other)
+        other = self._lift(other)
         e, um, W = self.frame.e, self.frame.layout.umask, self.level - 1
 
         def up(f):
@@ -164,26 +156,6 @@ class TElem:
         )
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, TElem):
-            return NotImplemented
-        return (
-            self.frame == other.frame
-            and self.level == other.level
-            and self.packed == other.packed
-        )
-
-    __hash__ = None
-
-    def is_zero(self):
-        return not self.packed
-
-    def constant_term(self):
-        return self.packed.get(0, 0)
-
-    def is_unit(self):
-        return self.constant_term() % self.frame.p != 0
 
     def invert(self):
         return newton_inverse(self)
@@ -229,9 +201,6 @@ class TElem:
                 vpart = "v" if i == 1 else "v^%d" % i
                 terms.append(vpart if body == "1" else "(%s)*%s" % (body, vpart))
         return " + ".join(terms) if terms else "0"
-
-    def __repr__(self):
-        return "TElem(%s)" % self
 
 
 def t_add(x, y):

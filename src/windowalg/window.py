@@ -8,6 +8,8 @@ the boundary and normal-decomposed immediately.
 
 from __future__ import annotations
 
+from itertools import product
+
 from . import matrices as mx
 from .series import FrameMismatchError, PrecisionError
 
@@ -131,15 +133,8 @@ def normal_decompose(frame, M):
                 )
             qcol.append(q)
         j_quotients.append(qcol)
-    order = j_order + sorted(l_order)
-    A = tuple(
-        tuple(
-            (j_quotients[k] if k < len(j_order) else cols[order[k]])[i]
-            for k in range(n)
-        )
-        for i in range(n)
-    )
-    U = tuple(tuple(ucols[j][i] for j in order) for i in range(n))
+    A = mx.mat(zip(*j_quotients, *(cols[j] for j in sorted(l_order))))
+    U = mx.mat(zip(*(ucols[j] for j in j_order + sorted(l_order))))
     d, c = len(j_order), len(l_order)
     w = make_window(frame, d, c, A)
     if not mx.meq(mx.mmul(M, U), w.phi_matrix()):
@@ -240,19 +235,8 @@ def check_rigidity(m):
 
 
 def _monomials(r, tdeg, urange):
-    def tparts(rleft, budget):
-        if rleft == 0:
-            yield ()
-            return
-        for head in range(budget + 1):
-            for rest in tparts(rleft - 1, budget - head):
-                yield (head,) + rest
-
-    out = []
-    for alpha in tparts(r, tdeg):
-        for j in urange:
-            out.append(alpha + (j,))
-    return out
+    alphas = (a for a in product(range(tdeg + 1), repeat=r) if sum(a) <= tdeg)
+    return [alpha + (j,) for alpha in alphas for j in urange]
 
 
 def vanishing_hom_dim(w1, w2, sub_a):

@@ -125,10 +125,11 @@ class WittVec:
     def __len__(self):
         return len(self.comps)
 
+    def _key(self):
+        return self.tag, self.frame, self.p, self.pexp
+
     def _compat(self, other):
-        if (self.tag, self.frame, self.p, self.pexp) != (  # tuples test identity first
-            other.tag, other.frame, other.p, other.pexp
-        ):
+        if self._key() != other._key():  # tuples test identity first
             raise FrameMismatchError("Witt operands over different base rings")
         if len(self.comps) != len(other.comps):
             raise FrameMismatchError("Witt operands of different lengths")
@@ -167,13 +168,7 @@ class WittVec:
     def __eq__(self, other):
         if not isinstance(other, WittVec):
             return NotImplemented
-        return (
-            self.tag == other.tag
-            and self.frame == other.frame
-            and self.p == other.p
-            and self.pexp == other.pexp
-            and self.comps == other.comps
-        )
+        return self._key() == other._key() and self.comps == other.comps
 
     __hash__ = None
 
@@ -261,7 +256,7 @@ def ghost(x):
 def from_int(n, length, like=None, frame=None, tag="S", p=None, pexp=None):
     """The image of the integer n in the Witt ring."""
     if like is not None:
-        tag, frame, p, pexp = like.tag, like.frame, like.p, like.pexp
+        tag, frame, p, pexp = like._key()
     if tag in ("S", "R"):
         p = frame.p
     tmp = WittVec(tag, [], frame=frame, p=p, pexp=pexp)

@@ -410,6 +410,24 @@ def test_over_long_integer_literal_is_a_parse_error(capsys, tmp_path):
     assert out == "parse_error = line 9, col 13: integer literal too long\n"
 
 
+def test_digits_and_names_are_ascii(capsys, tmp_path):
+    # '²' once joined the name t² and then reached int(): exit 1, not a parse error
+    cases = [
+        (FRAME.replace("u + 3", "u + 3*t²"), "parse_error = line 9, col 12: unexpected character '²'\n"),
+        (
+            FRAME + "\n[window]\nd = 1\nc = 0\nrow = t²\n",
+            "frame = valid\nparse_error = line 14, col 8: unexpected character '²'\n",
+        ),
+        (FRAME.replace("u + 3", "u^² + 3"), "parse_error = line 9, col 7: unexpected character '²'\n"),
+        # an Arabic-Indic three once parsed as 3
+        (FRAME.replace("u + 3", "u + ٣"), "parse_error = line 9, col 9: unexpected character '٣'\n"),
+    ]
+    for text, expected in cases:
+        path = tmp_path / "job.txt"
+        path.write_text(text, encoding="utf-8")
+        assert run_cli(capsys, ["validate", str(path), "--machine"]) == (2, expected)
+
+
 def test_parse_error_columns_point_at_the_offending_token(capsys, tmp_path):
     path = write(tmp_path, "p.txt", FRAME.replace("E = u + 3", "E = u + + 3"))
     code, out = run_cli(capsys, ["validate", path, "--machine"])

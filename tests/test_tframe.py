@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from windowalg import (
     Frame,
+    FrameMismatchError,
     HypothesisError,
     TElem,
     base_change_T,
@@ -117,6 +118,35 @@ def test_t_inversion():
     assert x.invert() * x == TElem.const(f, 3, 1)
     with pytest.raises(ZeroDivisionError):
         TElem.v(f, 3).invert()
+
+
+def test_series_and_T_elements_share_one_base():
+    f = frame313()
+    s, r, x = f.u(), f.series("u", tag="R"), TElem.v(f, 3)
+    # T with an S operand once raised AttributeError: no attribute 'level'
+    for a, b in ((x, s), (s, x)):
+        for op in (lambda: a + b, lambda: a - b, lambda: a * b):
+            with pytest.raises(TypeError):
+                op()
+        assert a != b and b != a
+    for a, b in ((x, TElem.v(f, 2)), (s, r), (s, frame313(a=2).u())):
+        for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: b + a):
+            with pytest.raises(FrameMismatchError):
+                op()
+    cases = (
+        (s, f.zero(), f.one(), "SeriesElem(u)"),
+        (r, f.zero("R"), f.one("R"), "SeriesElem(24)"),
+        (x * 3, TElem.const(f, 3, 0), TElem.const(f, 3, 1), "TElem((3)*v)"),
+    )
+    for elem, zero, one, text in cases:
+        assert elem.zero() == zero and elem.zero().is_zero() and not elem.is_zero()
+        assert elem.one() == one and elem.one().is_unit() and not elem.is_unit()
+        assert repr(elem) == text
+        assert repr(elem.zero()) == text.split("(")[0] + "(0)"
+        assert 1 - elem == elem.one() + (-elem)
+        assert not hasattr(elem, "__dict__")
+        with pytest.raises(TypeError):
+            hash(elem)
 
 
 def test_base_change_examples():
