@@ -37,7 +37,6 @@ shared values, one per field tuple in a bounded table (see Frame).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import cached_property, lru_cache
 from math import comb, isqrt
 
@@ -122,10 +121,11 @@ class _Kernel:
     tail (E - u^e as packed pairs) is set the ring is the E-quotient:
     u-degree is kept below e by long division after every product.
 
-    There are two product loops.  mul sorts the inner operand by packed
-    key, so the t-cap ends each row; the Witt layer's dense tables need
-    that.  umul sorts it by u-degree, so the u-cap ends each row, and
-    leaves residues exact; the T ring needs that.
+    There is one product loop, umul, which every ring shares.  It splits
+    the inner operand into u-bands, each sorted by packed key, so for a
+    term of the outer one the u-cap ends its row of bands and the t-cap
+    ends each band: only pairs inside both caps are formed.  mul is umul
+    followed by norm, or by division by E in the quotient ring.
     """
 
     __slots__ = ("p", "layout", "tdeg", "ucap", "pmod", "e", "tail", "tbound", "ulim")
@@ -205,55 +205,66 @@ class _Kernel:
                 raise OverflowError("product exceeds the packed exponent fields")
 
     def mul(self, f, g):
-        """Product under the caps, E-reduced in the quotient ring.
-
-        The total t-degree is the top field, so k1 + k2 >= tbound exactly
-        when the product leaves the t-cap; with g sorted, the first such
-        k2 ends the row for k1.
-        """
+        """Product under the caps, E-reduced in the quotient ring."""
         if len(f) > len(g):
             f, g = g, f
         if self.tdeg is None:
             self._room(f, g)
-        tb, um, ul = self.tbound, self.layout.umask, self.ulim
-        out = {}
-        get = out.get
-        gs = sorted(g.items())
-        for k1, c1 in f.items():
-            lim = tb - k1
-            for k2, c2 in gs:
-                if k2 >= lim:
-                    break
-                k = k1 + k2
-                if k & um < ul:
-                    out[k] = get(k, 0) + c1 * c2
+        out = self.umul(f, g)
         if self.tail is not None:
             return self.divmod_u_monic(out, self.tail, self.e)[1]
         return self.norm(out)
 
-    def umul(self, f, g):
-        """Product under the t-cap and the u-cap, with exact integer
-        coefficients (neither reduced nor normalized).
+    def bands(self, g):
+        """g as (u-degree, [(key, coeff) sorted by key]) in rising u-degree."""
+        um = self.layout.umask
+        bands = {}
+        for k in sorted(g):
+            band = bands.get(k & um)
+            if band is None:
+                bands[k & um] = [(k, g[k])]
+            else:
+                band.append((k, g[k]))
+        return sorted(bands.items())
 
-        With g sorted by u-degree, the row for k1 ends where the u-degree
-        of k2 reaches the u-cap minus that of k1, so no pair past the
-        u-cap is formed.
+    def umul(self, f, g, gb=None):
+        """Product of f by the inner operand g under the caps (only the
+        t-cap in the quotient ring, which divides instead), with exact
+        coefficients, neither reduced nor normalized; gb is bands(g).
+
+        For a term k1 of f the bands of g end at the u-cap minus the
+        u-degree of k1, and a band ends at its first k2 >= tbound - k1,
+        where the product leaves the t-cap (the top field).  An f of at
+        most two terms tests both caps on g unsorted: banding costs more.
         """
-        if len(f) > len(g):
-            f, g = g, f
-        tb, um, ucap = self.tbound, self.layout.umask, self.ucap
+        tb, um, ul = self.tbound, self.layout.umask, self.ulim
         out = {}
         get = out.get
-        gs = sorted(g.items(), key=lambda kc: kc[0] & um)
-        us = [k & um for k, _ in gs]
+        if len(f) <= 2:
+            for k1, c1 in f.items():
+                lim, ulk = tb - k1, ul - (k1 & um)
+                for k2, c2 in g.items():
+                    if k2 < lim and k2 & um < ulk:
+                        k = k1 + k2
+                        out[k] = get(k, 0) + c1 * c2
+            return out
+        if gb is None:
+            gb = self.bands(g)
         for k1, c1 in f.items():
-            for k2, c2 in gs[: bisect_left(us, ucap - (k1 & um))]:
-                k = k1 + k2
-                if k < tb:
+            lim, ulk = tb - k1, ul - (k1 & um)
+            for u, band in gb:
+                if u >= ulk:
+                    break
+                for k2, c2 in band:
+                    if k2 >= lim:
+                        break
+                    k = k1 + k2
                     out[k] = get(k, 0) + c1 * c2
         return out
 
     def pow(self, f, n):
+        if n < 0:
+            raise ValueError("negative exponent %d" % n)
         result = self.one()
         base = f
         while n:

@@ -44,9 +44,11 @@ class TElem(_Elem):
     so keys have u-degree below level*e and residues are mod p^N; coeffs
     gives one table per power of v, keyed by exponent tuples.  The ring
     is the S kernel of frame.at_level(level) with the weights p^(-i).
+    Elements are immutable, so _prep keeps what a product prepares from
+    packed (see __mul__); equality, repr and coeffs never read it.
     """
 
-    __slots__ = ("frame", "level", "packed")
+    __slots__ = ("frame", "level", "packed", "_prep")
 
     def __init__(self, frame, level, coeffs):
         """Element from v-coefficient tables keyed by exponent tuples.
@@ -64,6 +66,7 @@ class TElem(_Elem):
         self.frame = frame
         self.level = level
         self.packed = ring.clip(tbl)
+        self._prep = None
 
     @classmethod
     def _of(cls, frame, level, packed):
@@ -72,6 +75,7 @@ class TElem(_Elem):
         self.frame = frame
         self.level = level
         self.packed = packed
+        self._prep = None
         return self
 
     def _ring(self):
@@ -138,24 +142,37 @@ class TElem(_Elem):
 
     def __mul__(self, other):
         """Scaled by p^W, W = level - 1, every coefficient is an integer
-        c * p^(W - i); the exact product of the scaled tables is divided
-        back by p^(2W - k//e) at u^k."""
+        c * p^(W - i).  The banded loop _Kernel.umul forms the exact
+        product of the scaled tables, the shorter one outer and the other
+        in u-bands, and that is divided back by p^(2W - k//e) at u^k.
+        Each operand keeps its scaled table, and its bands once they are
+        needed, from its first product; an empty operand gives zero."""
         ring, pw = _tring(self.frame, self.level)
         if isinstance(other, int):
             return self._wrap(ring.scal(self.packed, other))
         other = self._lift(other)
-        e, um, W = self.frame.e, self.frame.layout.umask, self.level - 1
-
-        def up(f):
-            return {k: c * pw[W - (k & um) // e] for k, c in f.items()}
-
-        prod = ring.umul(up(self.packed), up(other.packed))
-        m = ring.pmod
+        if not self.packed or not other.packed:
+            return self._wrap({})
+        f, g = self._scaled(), other._scaled()
+        if len(f[0]) > len(g[0]):
+            f, g = g, f
+        if len(f[0]) > 2 and g[1] is None:
+            g[1] = ring.bands(g[0])
+        prod = ring.umul(f[0], g[0], g[1])
+        e, um, m, W2 = self.frame.e, self.frame.layout.umask, ring.pmod, 2 * self.level - 2
         return self._wrap(
-            {k: r for k, c in prod.items() if (r := c // pw[2 * W - (k & um) // e] % m)}
+            {k: r for k, c in prod.items() if (r := c // pw[W2 - (k & um) // e] % m)}
         )
 
     __rmul__ = __mul__
+
+    def _scaled(self):
+        """[the table scaled by p^W, its bands or None], kept from first use."""
+        if self._prep is None:
+            e, um, W = self.frame.e, self.frame.layout.umask, self.level - 1
+            pw = _tring(self.frame, self.level)[1]
+            self._prep = [{k: c * pw[W - (k & um) // e] for k, c in self.packed.items()}, None]
+        return self._prep
 
     def invert(self):
         return newton_inverse(self)

@@ -3,13 +3,18 @@
 Tables are drawn on frames with r = 0 and r = 3, with keys placed
 exactly on the caps (total t-degree D, u-degree a*e - 1) and on a frame
 whose a*e is MAX_UCAP, where the packed u-field is at its tightest.
+Products also get dense operands of up to 40 terms over many u-bands,
+and the parser's uncapped kernel is checked against exact products.
 """
+
+from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from windowalg import Frame, TElem
+from windowalg import Frame, FrameMismatchError, TElem
 from windowalg.blocks import ParseError, parse_poly
 from windowalg.series import MAX_UCAP, _Kernel, _Layout
 
@@ -57,9 +62,48 @@ def frame_and_pair(name):
 
 ALL_PAIRS = st.one_of(*(frame_and_pair(name) for name in FRAMES))
 
+# a*e = 12 and 15 t-monomials of degree <= 4: dense tables span many u-bands
+DENSE_FRAME = Frame.make(3, 2, 3, 4, 5, 4, 2, "u^3 + 3*t1*u + 3*(1 + t2)")
+
+# Table sizes on both sides of _Kernel.umul's short-row rule (an outer
+# operand of at most two terms tests both caps on the unsorted inner
+# one), up to dense operands whose rows end at both caps.
+SIZES = st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(4, 40))
+
+
+@lru_cache(maxsize=None)
+def monomials(r, tvalues, uvalues):
+    """Exponent tuples with t-exponents from tvalues, total t-degree at
+    most max(tvalues), and u-degrees from uvalues."""
+    ts = [t for t in product(tvalues, repeat=r) if sum(t) <= max(tvalues)]
+    return [t + (u,) for t in ts for u in uvalues]
+
+
+@st.composite
+def sampled_tables(draw, space, coeff):
+    """A table of a drawn size up to 40 terms with distinct keys from space."""
+    n = min(draw(SIZES), len(space))
+    keys = draw(st.randoms(use_true_random=False)).sample(space, n)
+    return dict(zip(keys, draw(st.lists(coeff, min_size=n, max_size=n))))
+
+
+def dense_tables(frame):
+    """A raw table whose keys may be any monomial inside the caps."""
+    space = monomials(frame.r, range(frame.D + 1), range(frame.a * frame.e))
+    coeff = st.integers(-(frame.p ** (frame.N + 1)), frame.p ** (frame.N + 1))
+    return sampled_tables(space, coeff)
+
+
+DENSE_PAIRS = st.one_of(
+    *(
+        st.tuples(st.just(f), dense_tables(f), dense_tables(f))
+        for f in [*FRAMES.values(), DENSE_FRAME]
+    )
+)
+
 
 @PROPS
-@given(ALL_PAIRS)
+@given(st.one_of(ALL_PAIRS, DENSE_PAIRS))
 def test_product_matches_schoolbook_oracle(case):
     f, x, y = case
     assert f.elem(x) * f.elem(y) == mul_oracle(f, x, y)
@@ -76,7 +120,7 @@ def test_remainder_mod_E_matches_long_division_oracle(case):
 
 
 @PROPS
-@given(ALL_PAIRS)
+@given(st.one_of(ALL_PAIRS, DENSE_PAIRS))
 def test_quotient_ring_product_is_reduced_series_product(case):
     f, x, y = case
     xr, yr = f.elem(x).reduce_mod_E(), f.elem(y).reduce_mod_E()
@@ -146,6 +190,31 @@ def test_overflowing_keys_are_refused():
         Frame.make(3, 0, 2, MAX_UCAP, 5, 4, 2, "u^2 + 3")
 
 
+# The parser's kernel: no caps, exact integers, 32-bit fields.  Two
+# exponents of HALF still fit a field, so products of keys on that edge
+# are formed, not refused.
+UNCAPPED = {r: _Kernel(_Layout(r, None), None, None, None, None) for r in (0, 2)}
+HALF = (1 << 31) - 1
+
+
+def uncapped_pairs(r):
+    space = monomials(r, (0, 1, 2, 3, HALF), (0, 1, 2, 3, HALF))
+    table = sampled_tables(space, st.integers(-50, 50))
+    return st.tuples(st.just(UNCAPPED[r]), table, table)
+
+
+@PROPS
+@given(st.one_of(*(uncapped_pairs(r) for r in UNCAPPED)))
+def test_uncapped_product_matches_exact_schoolbook(case):
+    ring, x, y = case
+    out = {}
+    for k1, c1 in x.items():
+        for k2, c2 in y.items():
+            key = tuple(a + b for a, b in zip(k1, k2))
+            out[key] = out.get(key, 0) + c1 * c2
+    assert ring.mul(ring.pack(x), ring.pack(y)) == ring.pack(out)
+
+
 @st.composite
 def t_elements(draw, frame, level, preimage=True):
     """A T-ring element as tuple-keyed bands; with preimage, its v^i
@@ -169,9 +238,23 @@ WIDE_SIGMA = {
 }
 
 
-def t_pair(f, preimage=True):
+@st.composite
+def dense_t_elements(draw, frame, level, preimage=True):
+    """As t_elements, with up to 40 terms at any u-degree below level*e."""
+    p, N, e = frame.p, frame.N, frame.e
+    space = monomials(frame.r, range(frame.D + 1), range(level * e))
+    # with preimage, c * p^i < p^N stays canonical
+    coeff = st.integers(1, p ** (N - level + 1 if preimage else N) - 1)
+    bands = [{} for _ in range(level)]
+    for key, c in draw(sampled_tables(space, coeff)).items():
+        i = key[-1] // e
+        bands[i][key[:-1] + (key[-1] % e,)] = c * p**i if preimage else c
+    return bands
+
+
+def t_pair(f, preimage=True, elements=t_elements):
     level = min(f.a, 4)
-    return st.tuples(t_elements(f, level, preimage), t_elements(f, level, preimage)).map(
+    return st.tuples(elements(f, level, preimage), elements(f, level, preimage)).map(
         lambda xy: (f, level, xy[0], xy[1])
     )
 
@@ -183,7 +266,11 @@ T_LEVEL4 = Frame.make(3, 1, 2, 4, 6, 3, 2, "u^2 + 3*t1*u + 3")
 
 
 @PROPS
-@given(st.one_of(*(t_pair(f) for f in T_FRAMES)))
+@given(
+    st.one_of(
+        *(t_pair(f) for f in T_FRAMES), *(t_pair(f, elements=dense_t_elements) for f in T_FRAMES)
+    )
+)
 def test_T_product_is_embedded_series_product(case):
     f, level, xb, yb = case
     X, Y = TElem(f, level, xb), TElem(f, level, yb)
@@ -194,8 +281,14 @@ def test_T_product_is_embedded_series_product(case):
     assert X.sigma() == TElem.embed(x.frobenius(), level)
 
 
+ANY_T_PAIRS = st.one_of(
+    *(t_pair(f, False) for f in [*T_FRAMES, T_LEVEL4]),
+    *(t_pair(f, False, dense_t_elements) for f in [*T_FRAMES, T_LEVEL4]),
+)
+
+
 @PROPS
-@given(st.one_of(*(t_pair(f, preimage=False) for f in [*T_FRAMES, T_LEVEL4])))
+@given(ANY_T_PAIRS)
 def test_T_product_and_sigma_of_any_elements(case):
     """With W = level - 1, p^W*X has a series preimage x' for any X, and
     p^(2W)*(X*Y) and p^W*sigma(X) are the images of x'*y' and sigma(x')."""
@@ -207,6 +300,52 @@ def test_T_product_and_sigma_of_any_elements(case):
     assert (X * Y) * f.p ** (2 * W) == TElem.embed(x * y, level)
     assert X.sigma() * f.p**W == TElem.embed(x.frobenius(), level)
     assert TElem(f, level, X.coeffs) == X
+
+
+@PROPS
+@given(ANY_T_PAIRS, st.data())
+def test_prepared_T_operands_multiply_as_fresh_ones(case, data):
+    """An operand keeps its scaled table and bands from its first product;
+    reused on either side, before and after other products, it gives the
+    products of fresh copies."""
+    f, level, xb, yb = case
+    zb = data.draw(dense_t_elements(f, level, False))
+
+    def fresh(b):
+        return TElem(f, level, b)
+
+    xy, xz = fresh(xb) * fresh(yb), fresh(xb) * fresh(zb)
+    assert fresh(yb) * fresh(xb) == xy
+    X, Y, Z = fresh(xb), fresh(yb), fresh(zb)
+    assert X * Y == xy
+    assert Z * X == xz
+    assert Y * X == xy
+    assert fresh(yb) * X == xy == X * fresh(yb)
+    assert X * Y == xy and X * Z == xz
+
+
+def test_T_products_with_a_zero_operand_are_zero_at_their_level():
+    f, level = T_LEVEL4, 3
+    X = TElem(f, level, [{(0, 0): 1, (1, 1): 2, (0, 1): 3}, {(2, 0): 5}])
+    zero = X.zero()
+    for a, b in ((X, zero), (zero, X), (zero, zero)):
+        z = a * b
+        assert z.is_zero() and z.level == level and z == TElem.const(f, level, 0)
+    with pytest.raises(FrameMismatchError):
+        zero * TElem.const(f, 2, 0)
+
+
+def test_prepared_T_state_is_invisible():
+    f, level = T_LEVEL4, 3
+    bands = [{(0, 0): 1, (1, 1): 2}, {(2, 0): 4, (0, 1): 5}, {(1, 0): 7}]
+    X, Y = TElem(f, level, bands), TElem(f, level, bands)
+    X * X  # X now holds its scaled table and bands, Y nothing
+    assert X._prep is not None and Y._prep is None
+    assert X == Y and Y == X
+    assert repr(X) == repr(Y) and str(X) == str(Y) and X.coeffs == Y.coeffs
+    assert not hasattr(X, "__dict__")
+    with pytest.raises(TypeError):
+        hash(X)
 
 
 def test_T_sigma_keeps_scaled_u_degrees_inside_the_u_field():

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import time
 
 import pytest
@@ -308,6 +310,23 @@ def test_level_zero_frame_is_the_zero_ring():
     assert f.series("1").is_zero() and f.series("1") == f.one() == f.const(7)
     with pytest.raises(ValueError, match="not a unit"):
         make_window(f, 1, 0, ((f.series("1"),),))
+
+
+def test_negative_powers_are_refused_and_the_zeroth_is_one():
+    # n >>= 1 keeps -1 at -1, so x ** -1 once never ended: run it in a child with a timeout
+    code = (
+        "from windowalg import Frame\n"
+        "f = Frame.make(3, 0, 1, 3, 6, 4, 2, 'u + 3')\n"
+        "for x in (f.one() + f.u(), f.series('1 + u', tag='R')):\n"
+        "    assert x ** 0 == x.one() and x ** 1 == x and x ** 2 == x * x\n"
+        "    try:\n"
+        "        x ** -1\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "negative exponent -1\n" * 2
 
 
 def _sympy_expr(tbl, gens):
