@@ -30,6 +30,10 @@ outside view: Frame.elem and the TElem constructor take them,
 SeriesElem.coeffs and TElem.coeffs return them, and the parser and
 renderer work with them.
 
+Every ring multiplies by one banded pair loop (_Kernel.umul) and squares
+by its unordered pairs (_Kernel.sqr).  Series tables enter R through the
+u^e folds of _pi_sigma, which also give the Witt layer its ghosts.
+
 Values are immutable after construction and all operations are pure,
 so elements and frames are safe to share between threads.  Frames are
 shared values, one per field tuple in a bounded table (see Frame).
@@ -125,7 +129,8 @@ class _Kernel:
     the inner operand into u-bands, each sorted by packed key, so for a
     term of the outer one the u-cap ends its row of bands and the t-cap
     ends each band: only pairs inside both caps are formed.  mul is umul
-    followed by norm, or by division by E in the quotient ring.
+    followed by norm, or by division by E in the quotient ring.  sqr is
+    the same loop over the unordered pairs of one table, which pow uses.
     """
 
     __slots__ = ("p", "layout", "tdeg", "ucap", "pmod", "e", "tail", "tbound", "ulim")
@@ -210,10 +215,12 @@ class _Kernel:
             f, g = g, f
         if self.tdeg is None:
             self._room(f, g)
-        out = self.umul(f, g)
-        if self.tail is not None:
-            return self.divmod_u_monic(out, self.tail, self.e)[1]
-        return self.norm(out)
+        return self._canon(self.umul(f, g))
+
+    def _canon(self, out):  # normalized, E-reduced in the quotient ring
+        if self.tail is None:
+            return self.norm(out)
+        return self.divmod_u_monic(out, self.tail, self.e)[1]
 
     def bands(self, g):
         """g as (u-degree, [(key, coeff) sorted by key]) in rising u-degree."""
@@ -262,17 +269,45 @@ class _Kernel:
                     out[k] = get(k, 0) + c1 * c2
         return out
 
+    def sqr(self, f):
+        """mul(f, f), forming each unordered pair of terms once: a term
+        pairs with itself, the later terms of its band and the bands above
+        it up to the u-cap, and each band ends at the t-cap.  Uncapped
+        kernels and tables of at most two terms go through mul."""
+        if len(f) <= 2 or self.tdeg is None:
+            return self.mul(f, f)
+        tb, ul = self.tbound, self.ulim
+        fb = self.bands(f)
+        out = {}
+        get = out.get
+        for i, (u1, band1) in enumerate(fb):
+            ulk = ul - u1
+            if u1 >= ulk:
+                break  # every pair from here on has u-degree >= 2*u1
+            above = [band for u2, band in fb[i + 1 :] if u2 < ulk]
+            for j, (k1, c1) in enumerate(band1, 1):
+                lim, c2x = tb - k1, 2 * c1  # cross terms count twice
+                if k1 < lim:
+                    out[2 * k1] = get(2 * k1, 0) + c1 * c1
+                for band in (band1[j:], *above):
+                    for k2, c2 in band:
+                        if k2 >= lim:
+                            break
+                        k = k1 + k2
+                        out[k] = get(k, 0) + c2x * c2
+        return self._canon(out)
+
     def pow(self, f, n):
+        """f^n for a canonical f: start at f, square by sqr (the _pi_sigma folds use mul)."""
         if n < 0:
             raise ValueError("negative exponent %d" % n)
-        result = self.one()
-        base = f
+        result = None
         while n:
             if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base) if n > 1 else base
+                result = f if result is None else self.mul(result, f)
             n >>= 1
-        return result
+            f = self.sqr(f) if n else f
+        return self.one() if result is None else result
 
     def sigma(self, f):
         """Frobenius lift: coefficients fixed, monomials raised to the p-th power.
@@ -292,43 +327,44 @@ class _Kernel:
         """Long division by the u-monic E = u^e + tail, tail of u-degree < e.
 
         Returns (q, rem) with f = q*E + rem inside the capped ring and
-        u-degree(rem) < e.  Caps are applied to every intermediate
-        product, which keeps the identity valid in the quotient.  The
-        table is split into u-bands once; subtracting (c * monomial) *
-        tail only feeds bands below the current one.
+        u-degree(rem) < e; q comes out normalized.  Caps are applied to
+        every intermediate product, which keeps the identity valid in the
+        quotient.  From the top down each u-band j >= e goes into q and,
+        times each tail term of u-degree j', into band j - e + j'.  It
+        ends R products and divide_by_E; reduce_mod_E uses _pi_sigma.
         """
         um, tb, m = self.layout.umask, self.tbound, self.pmod
-        bands = {}
+        bands, rem = {}, {}
         for k, c in f.items():
-            band = bands.get(k & um)
-            if band is None:
-                bands[k & um] = {k: c}
+            j = k & um
+            if j < e:
+                rem[k] = c
+            elif j in bands:
+                bands[j][k] = c
             else:
-                band[k] = c
+                bands[j] = {k: c}
         q = {}
         for j in range(max(bands, default=0), e - 1, -1):
             band = bands.pop(j, None)
             if not band:
                 continue
+            rows = []
             for k, c in band.items():
                 if m is not None:
                     c %= m
-                if not c:
-                    continue
-                qk = k - e
-                q[qk] = c
-                # only the t-cap applies here, u-degrees keep shrinking
-                for ek, ec in tail:
+                if c:
+                    q[k - e] = c
+                    rows.append((k - e, c))
+            # only the t-cap applies here, u-degrees keep shrinking
+            for ek, ec in tail:
+                jt = j - e + (ek & um)
+                tgt = rem if jt < e else bands.setdefault(jt, {})
+                tget = tgt.get
+                for qk, c in rows:
                     key = qk + ek
                     if key < tb:
-                        tgt = bands.get(key & um)
-                        if tgt is None:
-                            tgt = bands[key & um] = {}
-                        tgt[key] = tgt.get(key, 0) - c * ec
-        rem = {}
-        for band in bands.values():
-            rem.update(band)
-        return self.norm(q), self.norm(rem)
+                        tgt[key] = tget(key, 0) - c * ec
+        return q, self.norm(rem)
 
     def shift_u(self, f, d):
         """f * u^d; a negative d needs every u-degree to be at least -d."""
@@ -559,6 +595,38 @@ class Frame:
         return ring.mul(acc, inv_pow)
 
 
+def _pi_sigma(frame, boost, f, q):
+    """pi(sigma^n(f)) in ring("R", boost) for a series table f, q = p^n.
+
+    sigma^n sends t^alpha u^k to t^(alpha*q) u^(k*q); with k*q = m*e + j
+    the term is (u^e)^m t^(alpha*q) u^j, and (u^e)^m is the fold
+    pi((-tail)^m), cached on the frame until one vanishes or m reaches
+    max(a, M + boost) - 1, M = min(a, N): q = 1 is exact on any frame.
+    The u-cap of S is not applied; fold m is divisible by p^m, so on a
+    valid frame no u-exponent leaves the packed u-field.  reduce_mod_E is
+    q = 1, boost 0; kappa and tau use it too.
+    """
+    ring = frame.ring("R", boost)
+    folds = frame._cache.get(("u^e", boost))
+    if folds is None:
+        folds, tail = [ring.one()], ring.neg(dict(frame._E_tail))
+        while folds[-1] and len(folds) < max(frame.a, frame.rmod_exp() + boost):
+            folds.append(ring.mul(folds[-1], tail))
+        frame._cache[("u^e", boost)] = folds
+    ts, um, e = frame.layout.ts, frame.layout.umask, frame.e
+    parts = [{} for _ in folds]
+    for k, c in f.items():
+        m, j = divmod((k & um) * q, e)
+        if (k >> ts) * q <= frame.D and m < len(parts):
+            # sigma is injective on monomials: no two keys meet
+            parts[m][(k - (k & um)) * q + j] = c
+    out = ring.norm(parts[0])
+    for part, fold in zip(parts[1:], folds[1:]):
+        if part and fold:
+            out = ring.add(out, ring.mul(part, fold))
+    return out
+
+
 class _Elem:
     """Plumbing shared by the elements of the S, R and T rings.
 
@@ -673,12 +741,11 @@ class SeriesElem(_Elem):
         return self._wrap(self._ring().sigma(self.packed))
 
     def reduce_mod_E(self):
-        """Canonical image in R/p^aR: u-degree < e, coefficients mod p^min(a,N)."""
+        """Canonical image in R/p^aR: u-degree < e, coefficients mod p^min(a,N),
+        through the u^e folds of _pi_sigma (q = 1, no boost)."""
         if self.tag != "S":
             return self
-        f = self.frame
-        _, rem = self._ring().divmod_u_monic(self.packed, f._E_tail, f.e)
-        return SeriesElem(f, "R", f.ring("R").norm(rem))
+        return SeriesElem(self.frame, "R", _pi_sigma(self.frame, 0, self.packed, 1))
 
     def divide_by_E(self):
         """Return q with q*E == self in the level-a ring, or None.

@@ -27,43 +27,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .series import FrameMismatchError, PrecisionError, SeriesElem, _Kernel, _Layout
+from .series import FrameMismatchError, PrecisionError, SeriesElem, _Kernel, _Layout, _pi_sigma
 
 
 @lru_cache(maxsize=64)
 def _zring(p, pmod):
     """The kernel of integer Witt components (tables {0: c}), one per (p, modulus)."""
     return _Kernel(_Layout(0, 0), p, 0, 1, pmod)
-
-
-def _pi_sigma(frame, boost, f, q):
-    """pi(sigma^n(f)) in ring("R", boost) for a series table f, q = p^n.
-
-    sigma^n sends t^alpha u^k to t^(alpha*q) u^(k*q); with k*q = m*e + j
-    the term is (u^e)^m t^(alpha*q) u^j mod E.  The u-cap of S is not
-    applied, and (u^e)^m = (u^e - E)^m is divisible by p^m, so it
-    vanishes from m = the ring's p-exponent on and no u-exponent leaves
-    the packed u-field.  The powers are cached on the frame.
-    """
-    ring = frame.ring("R", boost)
-    folds = frame._cache.get(("u^e", boost))
-    if folds is None:
-        folds = [ring.one()]
-        for _ in range(frame.rmod_exp() + boost - 1):
-            folds.append(ring.mul(folds[-1], ring.neg(dict(frame._E_tail))))
-        frame._cache[("u^e", boost)] = folds
-    ts, um, e = frame.layout.ts, frame.layout.umask, frame.e
-    parts = [{} for _ in folds]
-    for k, c in f.items():
-        m, j = divmod((k & um) * q, e)
-        if (k >> ts) * q <= frame.D and m < len(parts):
-            # sigma is injective on monomials: no two keys meet
-            parts[m][(k - (k & um)) * q + j] = c
-    out = ring.norm(parts[0])
-    for part, fold in zip(parts[1:], folds[1:]):
-        if part:
-            out = ring.add(out, ring.mul(part, fold))
-    return out
 
 
 def _solve_ghost(ring, ghosts, p):
@@ -273,6 +243,8 @@ def delta(x, length=None):
         raise ValueError("delta is defined on series-ring elements")
     frame = x.frame
     length = frame.L if length is None else length
+    if length < 1:
+        raise ValueError("Witt length must be >= 1")
     ring = frame.ring("S", boost=length - 1)
     ghosts = [ring.norm(x.packed)]
     for _ in range(length - 1):
@@ -283,13 +255,13 @@ def delta(x, length=None):
 def kappa(x, length=None):
     """Component-wise reduction of delta(x) into W(R/p^aR).
 
-    It carries the ghosts pi(sigma^n(x)) (see _pi_sigma); they agree with
-    those of its components mod p^(M+n), M = min(a, N), because the
-    quotient by E has no p-torsion and u^(a*e) lies in (E, p^M).
+    It carries the ghosts pi(sigma^n(x)) from series._pi_sigma, the fold
+    routine of reduce_mod_E; they agree with those of its components mod
+    p^(M+n), M = min(a, N), because the quotient by E has no p-torsion
+    and u^(a*e) lies in (E, p^M).  delta checks x and the length.
     """
-    frame = x.frame
-    length = frame.L if length is None else length
     dv = delta(x, length)
+    frame, length = x.frame, len(dv.comps)
     out = WittVec("R", [c.reduce_mod_E() for c in dv.comps], frame=frame)
     out._ghosts = [_pi_sigma(frame, length - 1, x.packed, frame.p**n) for n in range(length)]
     return out
@@ -299,11 +271,12 @@ def tau(frame):
     """The unit with p*tau = kappa(sigma(E)).
 
     kappa(sigma(E)) has the ghosts pi(sigma^(n+1)(E)), so tau is solved
-    from (and carries) the ghosts pi(sigma^(n+1)(E))/p, computed with one
-    spare p-digit.  The quotient by E has no p-torsion, so the division
-    is exact; a ghost that resists it raises PrecisionError.  The
-    Frobenius identity and the unit property are then verified.  The
-    result is kept on the frame, a shared value (see series.Frame).
+    from (and carries) the ghosts pi(sigma^(n+1)(E))/p, computed by
+    series._pi_sigma with one spare p-digit.  The quotient by E has no
+    p-torsion, so the division is exact; a ghost that resists it raises
+    PrecisionError.  The Frobenius identity and the unit property are
+    then verified.  The result is kept on the frame, a shared value (see
+    series.Frame).
     """
     if "tau" in frame._cache:
         return frame._cache["tau"]

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from windowalg import Frame, FrameMismatchError, TElem
 from windowalg.blocks import ParseError, parse_poly
-from windowalg.series import MAX_UCAP, _Kernel, _Layout
+from windowalg.series import MAX_UCAP, SeriesElem, _Kernel, _Layout
+from windowalg.witt import _zring
 
 from helpers import divmod_oracle, mul_oracle, reduce_oracle
 
@@ -109,14 +110,49 @@ def test_product_matches_schoolbook_oracle(case):
     assert f.elem(x) * f.elem(y) == mul_oracle(f, x, y)
 
 
+# a < N, a = N and a > N for e = 1, 2, 3: reducing a dense table of
+# u-degree up to a*e - 1 meets every u^e fold, up to where it vanishes.
+# The last E is not Eisenstein, so its folds never vanish: reduction mod
+# E stays exact on frames that validate_frame refuses.
+FOLD_FRAMES = [
+    *(
+        Frame.make(3, 1, e, a, N, 3, 2, "u^%d + 3*t1*u^%d + 3" % (e, e - 1))
+        for e in (1, 2, 3)
+        for a, N in ((2, 4), (3, 3), (4, 2))
+    ),
+    Frame.make(3, 1, 2, 4, 2, 3, 2, "u^2 + t1*u + 1"),
+]
+
+# a dense table, times another or times 1
+FOLD_PAIRS = st.one_of(
+    *(
+        st.tuples(
+            st.just(f), dense_tables(f), st.one_of(dense_tables(f), st.just({(0, 0): 1}))
+        )
+        for f in FOLD_FRAMES
+    )
+)
+
+
 @PROPS
-@given(ALL_PAIRS)
+@given(st.one_of(ALL_PAIRS, DENSE_PAIRS, FOLD_PAIRS))
 def test_remainder_mod_E_matches_long_division_oracle(case):
     f, x, y = case
     s = f.elem(x) * f.elem(y)
     assert s.reduce_mod_E() == reduce_oracle(f, s)
     q, rem = divmod_oracle(s.coeffs, dict(f.E_items), f.e)
     assert f.elem(q) * f.E + f.elem(rem) == s
+
+
+@PROPS
+@given(FOLD_PAIRS)
+def test_long_division_quotient_and_remainder_rebuild_the_table(case):
+    f, x, _ = case
+    ring, s = f.ring("S"), f.elem(x)
+    q, rem = ring.divmod_u_monic(s.packed, f._E_tail, f.e)
+    assert q == ring.norm(q) and rem == ring.norm(rem)
+    assert all(k & f.layout.umask < f.e for k in rem)
+    assert SeriesElem(f, "S", q) * f.E + SeriesElem(f, "S", rem) == s
 
 
 @PROPS
@@ -213,6 +249,65 @@ def test_uncapped_product_matches_exact_schoolbook(case):
             key = tuple(a + b for a, b in zip(k1, k2))
             out[key] = out.get(key, 0) + c1 * c2
     assert ring.mul(ring.pack(x), ring.pack(y)) == ring.pack(out)
+
+
+def kernel_tables(ring, space, bound):
+    """(ring, a canonical table of it) with keys from space."""
+    coeff = st.integers(-bound, bound)
+    return sampled_tables(space, coeff).map(lambda t: (ring, ring.pack(t)))
+
+
+def frame_kernel_tables(f, tag, boost):
+    umax = f.e if tag == "R" else f.a * f.e
+    space = monomials(f.r, range(f.D + 1), range(umax))
+    return kernel_tables(f.ring(tag, boost), space, f.p ** (f.N + boost + 1))
+
+
+# The S, R and boosted kernels of capped frames, the parser's uncapped
+# kernels and the integer kernels of Witt components over Z.
+KERNEL_TABLES = st.one_of(
+    *(
+        frame_kernel_tables(f, tag, boost)
+        for f in (FRAMES["r0"], FRAMES["r3"], DENSE_FRAME)
+        for tag in "SR"
+        for boost in (0, 2)
+    ),
+    frame_kernel_tables(FRAMES["r1-max-ucap"], "S", 0),
+    *(
+        kernel_tables(UNCAPPED[r], monomials(r, (0, 1, 2, 3, HALF), (0, 1, 2, 3, HALF)), 50)
+        for r in UNCAPPED
+    ),
+    *(kernel_tables(_zring(3, pmod), [(0,)], 3**6) for pmod in (None, 3**4)),
+)
+
+
+def _outcome(fn):
+    """fn(), or OverflowError if an uncapped kernel refuses it."""
+    try:
+        return fn()
+    except OverflowError:
+        return OverflowError
+
+
+@PROPS
+@given(KERNEL_TABLES)
+def test_square_is_the_product_of_a_table_with_itself(case):
+    ring, f = case
+    assert _outcome(lambda: ring.sqr(f)) == _outcome(lambda: ring.mul(f, f))
+
+
+@PROPS
+@given(KERNEL_TABLES, st.integers(0, 7))
+def test_power_is_the_repeated_product(case, n):
+    ring, f = case
+
+    def repeated():
+        out = ring.one()
+        for _ in range(n):
+            out = ring.mul(out, f)
+        return out
+
+    assert _outcome(lambda: ring.pow(f, n)) == _outcome(repeated)
 
 
 @st.composite

@@ -284,6 +284,24 @@ def test_delta_rejects_r_tag():
         delta(f.one("R"))
 
 
+def test_witt_lengths_below_one_are_refused():
+    f = frame313()
+    x = f.one() + f.u()
+    for length in (0, -1):
+        with pytest.raises(ValueError, match="Witt length must be >= 1"):
+            delta(x, length)
+        with pytest.raises(ValueError, match="Witt length must be >= 1"):
+            kappa(x, length)
+    assert ("S", -1) not in f._cache  # no ring at p^(N - 1) was made
+
+
+def test_kappa_refuses_what_delta_refuses():
+    f = frame313()
+    for x in (3, f.one("R")):
+        with pytest.raises(ValueError, match="delta is defined on series-ring elements"):
+            kappa(x)
+
+
 # -- carried ghost components --------------------------------------------------
 
 # a > N, a < N and a = N; e = 1, 2, 3; r = 0, 1, 2
