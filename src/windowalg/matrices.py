@@ -4,6 +4,11 @@ Matrices are tuples of tuples.  Ranks stay tiny (window rank <= 4), so
 det, adjugate and inv all go through cofactor expansion, which works
 over any commutative ring element type that supports +, - and * (plain
 ints included); adjugate of a 1x1 matrix also needs .one().
+
+Every entry of a product and every cofactor sum is one dot(xs, ys).  It
+uses the dot method of the first operand that has one (the S, R and T
+elements, which sum the products in one table and reduce it once), and
+otherwise (ints, Witt vectors) the sequential x0*y0 + x1*y1 + ...
 """
 
 from __future__ import annotations
@@ -44,18 +49,21 @@ def mscal(A, s):
     return tuple(tuple(x * s for x in row) for row in A)
 
 
+def dot(xs, ys):
+    """sum(x*y) over the nonempty xs and ys; unequal lengths are refused."""
+    for x in (*xs, *ys):
+        fused = getattr(x, "dot", None)
+        if fused is not None:
+            return fused(xs, ys)
+    acc = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:], strict=True):
+        acc = acc + x * y
+    return acc
+
+
 def mmul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = A[i][0] * B[0][j]
-            for s in range(1, k):
-                acc = acc + A[i][s] * B[s][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    cols = tuple(zip(*B))
+    return tuple(tuple(dot(row, col) for col in cols) for row in A)
 
 
 def meq(A, B):
@@ -73,11 +81,8 @@ def det(M):
         raise ValueError("empty matrix has no determinant here")
     if n == 1:
         return M[0][0]
-    acc = M[0][0] * det(_minor(M, 0, 0))
-    for j in range(1, n):
-        term = M[0][j] * det(_minor(M, 0, j))
-        acc = acc - term if j % 2 else acc + term
-    return acc
+    cofs = [det(_minor(M, 0, j)) for j in range(n)]
+    return dot(M[0], [-c if j % 2 else c for j, c in enumerate(cofs)])
 
 
 def det_is_unit(M, p):
@@ -111,8 +116,5 @@ def adjugate(M):
 def inv(M):
     """Inverse via adjugate; det(M) = sum_j M[0][j] * adj[j][0] must be a unit."""
     adj = adjugate(M)
-    d = M[0][0] * adj[0][0]
-    for j in range(1, len(M)):
-        d = d + M[0][j] * adj[j][0]
-    dinv = d.invert()
+    dinv = dot(M[0], [row[0] for row in adj]).invert()
     return mmap(adj, lambda x: x * dinv)

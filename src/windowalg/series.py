@@ -31,8 +31,10 @@ SeriesElem.coeffs and TElem.coeffs return them, and the parser and
 renderer work with them.
 
 Every ring multiplies by one banded pair loop (_Kernel.umul) and squares
-by its unordered pairs (_Kernel.sqr).  Series tables enter R through the
-u^e folds of _pi_sigma, which also give the Witt layer its ghosts.
+by its unordered pairs (_Kernel.sqr); a sum of products (_Kernel.dot)
+runs that loop into one table and reduces it once.  Series tables enter
+R through the u^e folds of _pi_sigma, which also give the Witt layer
+its ghosts.
 
 Values are immutable after construction and all operations are pure,
 so elements and frames are safe to share between threads.  Frames are
@@ -128,9 +130,10 @@ class _Kernel:
     There is one product loop, umul, which every ring shares.  It splits
     the inner operand into u-bands, each sorted by packed key, so for a
     term of the outer one the u-cap ends its row of bands and the t-cap
-    ends each band: only pairs inside both caps are formed.  mul is umul
-    followed by norm, or by division by E in the quotient ring.  sqr is
-    the same loop over the unordered pairs of one table, which pow uses.
+    ends each band: only pairs inside both caps are formed.  dot runs umul
+    on each pair into one table, then normalizes it, or divides it by E
+    in the quotient ring, once; mul is dot of one pair.  sqr is the same
+    loop over the unordered pairs of one table, which pow uses.
     """
 
     __slots__ = ("p", "layout", "tdeg", "ucap", "pmod", "e", "tail", "tbound", "ulim")
@@ -210,12 +213,25 @@ class _Kernel:
                 raise OverflowError("product exceeds the packed exponent fields")
 
     def mul(self, f, g):
-        """Product under the caps, E-reduced in the quotient ring."""
-        if len(f) > len(g):
-            f, g = g, f
-        if self.tdeg is None:
-            self._room(f, g)
-        return self._canon(self.umul(f, g))
+        """Product under the caps, E-reduced in the quotient ring: dot of one pair."""
+        return self.dot(((f, g),))
+
+    def dot(self, pairs):
+        """Sum of the products of the (f, g) pairs under the caps, E-reduced
+        in the quotient ring.  Each pair with no empty table goes through
+        umul, the shorter table outer, into one table of exact
+        coefficients, which is normalized or divided by E once.  Uncapped
+        kernels check each pair with _room."""
+        out = {}
+        for f, g in pairs:
+            if not f or not g:
+                continue
+            if len(f) > len(g):
+                f, g = g, f
+            if self.tdeg is None:
+                self._room(f, g)
+            self.umul(f, g, None, out)
+        return self._canon(out)
 
     def _canon(self, out):  # normalized, E-reduced in the quotient ring
         if self.tail is None:
@@ -234,10 +250,11 @@ class _Kernel:
                 band.append((k, g[k]))
         return sorted(bands.items())
 
-    def umul(self, f, g, gb=None):
+    def umul(self, f, g, gb=None, out=None):
         """Product of f by the inner operand g under the caps (only the
         t-cap in the quotient ring, which divides instead), with exact
         coefficients, neither reduced nor normalized; gb is bands(g).
+        It is added into out when given (dot sums products there).
 
         For a term k1 of f the bands of g end at the u-cap minus the
         u-degree of k1, and a band ends at its first k2 >= tbound - k1,
@@ -245,7 +262,8 @@ class _Kernel:
         most two terms tests both caps on g unsorted: banding costs more.
         """
         tb, um, ul = self.tbound, self.layout.umask, self.ulim
-        out = {}
+        if out is None:
+            out = {}
         get = out.get
         if len(f) <= 2:
             for k1, c1 in f.items():
@@ -602,6 +620,7 @@ def _pi_sigma(frame, boost, f, q):
     the term is (u^e)^m t^(alpha*q) u^j, and (u^e)^m is the fold
     pi((-tail)^m), cached on the frame until one vanishes or m reaches
     max(a, M + boost) - 1, M = min(a, N): q = 1 is exact on any frame.
+    The terms with m > 0 times their folds are one dot, divided by E once.
     The u-cap of S is not applied; fold m is divisible by p^m, so on a
     valid frame no u-exponent leaves the packed u-field.  reduce_mod_E is
     q = 1, boost 0; kappa and tau use it too.
@@ -620,23 +639,26 @@ def _pi_sigma(frame, boost, f, q):
         if (k >> ts) * q <= frame.D and m < len(parts):
             # sigma is injective on monomials: no two keys meet
             parts[m][(k - (k & um)) * q + j] = c
-    out = ring.norm(parts[0])
-    for part, fold in zip(parts[1:], folds[1:]):
-        if part and fold:
-            out = ring.add(out, ring.mul(part, fold))
-    return out
+    return ring.add(parts[0], ring.dot(zip(parts[1:], folds[1:])))
 
 
 class _Elem:
     """Plumbing shared by the elements of the S, R and T rings.
 
     A subclass holds frame and packed, supplies _ring() (its kernel),
-    _wrap(packed) (an element of the same ring) and _key() (what names
-    that ring within the class), and defines its ring operations in its
+    _wrap(packed) (an element of the same ring), _key() (what names
+    that ring within the class) and _dot(pairs) (the sum of the products
+    of pairs of its elements), and defines its ring operations in its
     own body.
     """
 
     __slots__ = ()
+
+    def dot(self, xs, ys):
+        """Sum of the products x*y over xs and ys in the ring of self, int
+        operands taken as constants; formed in one pass by _dot."""
+        lift = self._lift
+        return self._dot([(lift(x), lift(y)) for x, y in zip(xs, ys, strict=True)])
 
     def _lift(self, other):
         """other as an element of this ring; an int becomes its constant."""
@@ -726,6 +748,9 @@ class SeriesElem(_Elem):
         return self._wrap(self._ring().mul(self.packed, other.packed))
 
     __rmul__ = __mul__
+
+    def _dot(self, pairs):
+        return self._wrap(self._ring().dot([(x.packed, y.packed) for x, y in pairs]))
 
     def __pow__(self, n):
         return self._wrap(self._ring().pow(self.packed, n))

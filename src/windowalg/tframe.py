@@ -45,7 +45,7 @@ class TElem(_Elem):
     gives one table per power of v, keyed by exponent tuples.  The ring
     is the S kernel of frame.at_level(level) with the weights p^(-i).
     Elements are immutable, so _prep keeps what a product prepares from
-    packed (see __mul__); equality, repr and coeffs never read it.
+    packed (see _dot); equality, repr and coeffs never read it.
     """
 
     __slots__ = ("frame", "level", "packed", "_prep")
@@ -141,30 +141,33 @@ class TElem(_Elem):
         return self + (-other)
 
     def __mul__(self, other):
-        """Scaled by p^W, W = level - 1, every coefficient is an integer
-        c * p^(W - i).  The banded loop _Kernel.umul forms the exact
-        product of the scaled tables, the shorter one outer and the other
-        in u-bands, and that is divided back by p^(2W - k//e) at u^k.
-        Each operand keeps its scaled table, and its bands once they are
-        needed, from its first product; an empty operand gives zero."""
-        ring, pw = _tring(self.frame, self.level)
         if isinstance(other, int):
-            return self._wrap(ring.scal(self.packed, other))
-        other = self._lift(other)
-        if not self.packed or not other.packed:
-            return self._wrap({})
-        f, g = self._scaled(), other._scaled()
-        if len(f[0]) > len(g[0]):
-            f, g = g, f
-        if len(f[0]) > 2 and g[1] is None:
-            g[1] = ring.bands(g[0])
-        prod = ring.umul(f[0], g[0], g[1])
-        e, um, m, W2 = self.frame.e, self.frame.layout.umask, ring.pmod, 2 * self.level - 2
-        return self._wrap(
-            {k: r for k, c in prod.items() if (r := c // pw[W2 - (k & um) // e] % m)}
-        )
+            return self._wrap(self._ring().scal(self.packed, other))
+        return self._dot(((self, self._lift(other)),))
 
     __rmul__ = __mul__
+
+    def _dot(self, pairs):
+        """Scaled by p^W, W = level - 1, every coefficient is an integer
+        c * p^(W - i).  The banded loop _Kernel.umul adds the exact product
+        of the scaled tables of each pair, the shorter one outer and the
+        other in u-bands, into one table, which is divided back by
+        p^(2W - k//e) at u^k once.  Each operand keeps its scaled table,
+        and its bands once they are needed, from its first product; a
+        pair with an empty operand adds nothing."""
+        ring, pw = _tring(self.frame, self.level)
+        out = {}
+        for x, y in pairs:
+            if not x.packed or not y.packed:
+                continue
+            f, g = x._scaled(), y._scaled()
+            if len(f[0]) > len(g[0]):
+                f, g = g, f
+            if len(f[0]) > 2 and g[1] is None:
+                g[1] = ring.bands(g[0])
+            ring.umul(f[0], g[0], g[1], out)
+        e, um, m, W2 = self.frame.e, self.frame.layout.umask, ring.pmod, 2 * self.level - 2
+        return self._wrap({k: r for k, c in out.items() if (r := c // pw[W2 - (k & um) // e] % m)})
 
     def _scaled(self):
         """[the table scaled by p^W, its bands or None], kept from first use."""

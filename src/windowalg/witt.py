@@ -66,28 +66,52 @@ def _ghosts_of(ring, comps, length, p):
     return out
 
 
+def _base(tag, frame, p, pexp):
+    """(tag, frame, p, pexp) naming a Witt base ring; refuses an incomplete one."""
+    if tag in ("S", "R"):
+        if frame is None:
+            raise ValueError("S- and R-tagged Witt vectors need a frame")
+        return tag, frame, frame.p, None
+    if tag == "Z":
+        if p is None:
+            raise ValueError("Z-tagged Witt vectors need an explicit prime")
+        return tag, None, p, pexp
+    raise ValueError("unknown Witt base tag %r" % tag)
+
+
+def _ring_of(key, boost=0):
+    """The component kernel of the base key, its modulus raised by p^boost."""
+    tag, frame, p, pexp = key
+    if tag != "Z":
+        return frame.ring(tag, boost)
+    return _zring(p, None if pexp is None else p ** (pexp + boost))
+
+
+def _solved(key, ghosts):
+    """The vector over the base key with these boosted ghost tables (of any length)."""
+    tag, frame, p, pexp = key
+    ring = _ring_of(key)
+    tables = [ring.norm(t) for t in _solve_ghost(_ring_of(key, len(ghosts) - 1), ghosts, p)]
+    if tag == "Z":
+        out = WittVec("Z", [t.get(0, 0) for t in tables], p=p, pexp=pexp)
+    else:
+        out = WittVec(tag, [SeriesElem(frame, tag, t) for t in tables], frame)
+    out._ghosts = ghosts
+    return out
+
+
 class WittVec:
-    """Length-L Witt vector; tag is "S", "R" or "Z"."""
+    """Length-L Witt vector, L >= 1; tag is "S", "R" or "Z"."""
 
     __slots__ = ("tag", "comps", "frame", "p", "pexp", "_ghosts")
 
     def __init__(self, tag, comps, frame=None, p=None, pexp=None):
-        self.tag = tag
         self.comps = tuple(comps)
-        if tag in ("S", "R"):
-            if frame is None:
-                frame = self.comps[0].frame
-            self.frame = frame
-            self.p = frame.p
-            self.pexp = None
-        elif tag == "Z":
-            if p is None:
-                raise ValueError("Z-tagged Witt vectors need an explicit prime")
-            self.frame = None
-            self.p = p
-            self.pexp = pexp
-        else:
-            raise ValueError("unknown Witt base tag %r" % tag)
+        if not self.comps:
+            raise ValueError("Witt length must be >= 1")
+        if tag in ("S", "R") and frame is None:
+            frame = self.comps[0].frame
+        self.tag, self.frame, self.p, self.pexp = _base(tag, frame, p, pexp)
         self._ghosts = None
 
     # -- plumbing -----------------------------------------------------------
@@ -105,10 +129,7 @@ class WittVec:
             raise FrameMismatchError("Witt operands of different lengths")
 
     def _ring(self, boost=0):
-        if self.tag in ("S", "R"):
-            return self.frame.ring(self.tag, boost)
-        exp = self.pexp
-        return _zring(self.p, None if exp is None else self.p ** (exp + boost))
+        return _ring_of(self._key(), boost)
 
     def _tables(self):
         if self.tag == "Z":
@@ -122,18 +143,6 @@ class WittVec:
             length = len(self.comps)
             self._ghosts = _ghosts_of(self._ring(length - 1), self._tables(), length, self.p)
         return self._ghosts
-
-    def _solved(self, ghosts):
-        """The vector over this base with these boosted ghost tables (of any length)."""
-        ring = self._ring()
-        tables = [ring.norm(t) for t in _solve_ghost(self._ring(len(ghosts) - 1), ghosts, self.p)]
-        if self.tag == "Z":
-            out = WittVec("Z", [t.get(0, 0) for t in tables], p=self.p, pexp=self.pexp)
-        else:
-            comps = [SeriesElem(self.frame, self.tag, t) for t in tables]
-            out = WittVec(self.tag, comps, self.frame)
-        out._ghosts = ghosts
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, WittVec):
@@ -168,7 +177,7 @@ class WittVec:
 
     def __neg__(self):
         ring = self._ring(len(self.comps) - 1)
-        return self._solved([ring.neg(g) for g in self._ghost_tables()])
+        return _solved(self._key(), [ring.neg(g) for g in self._ghost_tables()])
 
     def __sub__(self, other):
         return wadd(self, -other)
@@ -186,7 +195,8 @@ class WittVec:
 def _binary(x, y, combine):
     x._compat(y)
     ring = x._ring(len(x.comps) - 1)
-    return x._solved([combine(ring, a, b) for a, b in zip(x._ghost_tables(), y._ghost_tables())])
+    ghosts = zip(x._ghost_tables(), y._ghost_tables())
+    return _solved(x._key(), [combine(ring, a, b) for a, b in ghosts])
 
 
 def wadd(x, y):
@@ -211,7 +221,7 @@ def wfrob(x):
     if length < 2:
         raise ValueError("Frobenius needs length >= 2")
     ring = x._ring(length - 2)
-    return x._solved([ring.norm(g) for g in x._ghost_tables()[1:]])
+    return _solved(x._key(), [ring.norm(g) for g in x._ghost_tables()[1:]])
 
 
 def ghost(x):
@@ -224,13 +234,11 @@ def ghost(x):
 
 
 def from_int(n, length, like=None, frame=None, tag="S", p=None, pexp=None):
-    """The image of the integer n in the Witt ring."""
-    if like is not None:
-        tag, frame, p, pexp = like._key()
-    if tag in ("S", "R"):
-        p = frame.p
-    tmp = WittVec(tag, [], frame=frame, p=p, pexp=pexp)
-    return tmp._solved([tmp._ring(length - 1).const(n)] * length)
+    """The image of the integer n in the Witt ring, of length >= 1."""
+    key = like._key() if like is not None else _base(tag, frame, p, pexp)
+    if length < 1:
+        raise ValueError("Witt length must be >= 1")
+    return _solved(key, [_ring_of(key, length - 1).const(n)] * length)
 
 
 def delta(x, length=None):
@@ -249,7 +257,7 @@ def delta(x, length=None):
     ghosts = [ring.norm(x.packed)]
     for _ in range(length - 1):
         ghosts.append(ring.sigma(ghosts[-1]))
-    return WittVec("S", [], frame=frame)._solved(ghosts)
+    return _solved(("S", frame, frame.p, None), ghosts)
 
 
 def kappa(x, length=None):
@@ -283,7 +291,7 @@ def tau(frame):
     ring, L = frame.ring("R", frame.L), frame.L
     ghosts = [ring.div_exact_ppow(_pi_sigma(frame, L, frame.E.packed, frame.p ** (n + 1)), 1)
               for n in range(L)]
-    t = WittVec("R", [], frame=frame)._solved(ghosts)
+    t = _solved(("R", frame, frame.p, None), ghosts)
     lhs = wmul(from_int(frame.p, frame.L, like=t), t)
     rhs = kappa(frame.E.frobenius(), length=frame.L)
     if lhs != rhs:

@@ -5,8 +5,11 @@ exactly on the caps (total t-degree D, u-degree a*e - 1) and on a frame
 whose a*e is MAX_UCAP, where the packed u-field is at its tightest.
 Products also get dense operands of up to 40 terms over many u-bands,
 and the parser's uncapped kernel is checked against exact products.
+Sums of products (_Kernel.dot, and matrices.dot with mmul, det and inv
+on every ring that has elements) are checked against sequential sums.
 """
 
+import re
 from functools import lru_cache
 from itertools import product
 
@@ -14,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from windowalg import Frame, FrameMismatchError, TElem
+from windowalg import Frame, FrameMismatchError, TElem, WittVec
+from windowalg import matrices as mx
 from windowalg.blocks import ParseError, parse_poly
 from windowalg.series import MAX_UCAP, SeriesElem, _Kernel, _Layout
 from windowalg.witt import _zring
@@ -257,10 +261,14 @@ def kernel_tables(ring, space, bound):
     return sampled_tables(space, coeff).map(lambda t: (ring, ring.pack(t)))
 
 
-def frame_kernel_tables(f, tag, boost):
+def frame_space(f, tag):
+    """Every monomial of a canonical table of the S or R ring of f."""
     umax = f.e if tag == "R" else f.a * f.e
-    space = monomials(f.r, range(f.D + 1), range(umax))
-    return kernel_tables(f.ring(tag, boost), space, f.p ** (f.N + boost + 1))
+    return monomials(f.r, range(f.D + 1), range(umax))
+
+
+def frame_kernel_tables(f, tag, boost):
+    return kernel_tables(f.ring(tag, boost), frame_space(f, tag), f.p ** (f.N + boost + 1))
 
 
 # The S, R and boosted kernels of capped frames, the parser's uncapped
@@ -515,3 +523,168 @@ def test_inverse_of_a_unit_is_a_two_sided_inverse(x):
 def test_R_tagged_tables_are_reduced_mod_E(case):
     f, t = case
     assert f.elem(t, "R") == f.elem(t).reduce_mod_E()
+
+
+# -- sums of products: _Kernel.dot and matrices.dot ----------------------------
+
+
+def kernel_dots(ring, space, bound):
+    """(ring, one to four pairs of its canonical tables)."""
+    table = kernel_tables(ring, space, bound).map(lambda rt: rt[1])
+    return st.tuples(st.just(ring), st.lists(st.tuples(table, table), min_size=1, max_size=4))
+
+
+# the S, R and boosted R kernels, the parser's uncapped kernels and the
+# integer kernels of Witt components over Z
+KERNEL_DOTS = st.one_of(
+    *(
+        kernel_dots(f.ring(tag, boost), frame_space(f, tag), f.p ** (f.N + boost + 1))
+        for f in (FRAMES["r0"], FRAMES["r3"], DENSE_FRAME)
+        for tag, boost in (("S", 0), ("R", 0), ("R", 2))
+    ),
+    *(
+        kernel_dots(UNCAPPED[r], monomials(r, (0, 1, 2, 3, HALF), (0, 1, 2, 3, HALF)), 50)
+        for r in UNCAPPED
+    ),
+    *(kernel_dots(_zring(3, pmod), [(0,)], 3**6) for pmod in (None, 3**4)),
+)
+
+
+@PROPS
+@given(KERNEL_DOTS)
+def test_kernel_dot_is_the_sequential_sum_of_products(case):
+    ring, pairs = case
+
+    def sequential():
+        acc = ring.mul(*pairs[0])
+        for f, g in pairs[1:]:
+            acc = ring.add(acc, ring.mul(f, g))
+        return acc
+
+    assert _outcome(lambda: ring.dot(pairs)) == _outcome(sequential)
+
+
+def test_uncapped_dot_refuses_what_mul_refuses():
+    ring = UNCAPPED[0]
+    small = ring.pack({(1,): 3})
+    wide = ring.pack({(HALF + 1,): 1})  # squared, u^(2^32) leaves the u-field
+    many = ring.pack({(i,): 1 for i in range(1 << 11)})  # 2^22 pairs
+    for f, g in ((wide, wide), (many, many)):
+        with pytest.raises(OverflowError) as ref:
+            ring.mul(f, g)
+        for pairs in ([(small, small), (f, g)], [(f, g), (small, small)]):
+            with pytest.raises(OverflowError, match=re.escape(str(ref.value))):
+                ring.dot(pairs)
+    # a pair with an empty table forms no pair and is not refused
+    assert ring.dot([(small, small), ({}, many), (many, {})]) == ring.mul(small, small)
+
+
+def seq_dot(xs, ys):
+    acc = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        acc = acc + x * y
+    return acc
+
+
+def seq_det(M):
+    """Cofactor expansion along the first row, one running sum."""
+    n = len(M)
+    if n == 1:
+        return M[0][0]
+    minor = lambda j: [row[:j] + row[j + 1 :] for row in M[1:]]
+    acc = M[0][0] * seq_det(minor(0))
+    for j in range(1, n):
+        term = M[0][j] * seq_det(minor(j))
+        acc = acc - term if j % 2 else acc + term
+    return acc
+
+
+def seq_inv(M):
+    n = len(M)
+    if n == 1:
+        adj = [[M[0][0].one()]]
+    else:
+        minor = lambda i, j: [r[:j] + r[j + 1 :] for k, r in enumerate(M) if k != i]
+        adj = [[(-1) ** (i + j) * seq_det(minor(j, i)) for j in range(n)] for i in range(n)]
+    dinv = seq_dot(M[0], [row[0] for row in adj]).invert()
+    return tuple(tuple(x * dinv for x in row) for row in adj)
+
+
+def zvec(comps):
+    return WittVec("Z", comps, p=3)
+
+
+def _T_entries(f, level):
+    bands = st.one_of(t_elements(f, level, False), dense_t_elements(f, level, False))
+    return bands.map(lambda b: TElem(f, level, b))
+
+
+WITT_FRAME = Frame.make(3, 0, 1, 3, 6, 4, 2, "u + 3")
+
+# (ring, entries of it, whether ints may stand among them): S and R
+# elements, T elements at every level of two frames, ints and Witt
+# vectors over Z and R.  Witt vectors do not add ints.
+MATRIX_RINGS = [
+    *((f, st.one_of(tables(f), dense_tables(f)).map(f.elem), True) for f in FRAMES.values()),
+    *((f, tables(f).map(lambda t, f=f: f.elem(t, "R")), True) for f in (FRAMES["r0"], DENSE_FRAME)),
+    *(
+        (f, _T_entries(f, level), True)
+        for f in (FRAMES["r0"], T_LEVEL4)
+        for level in range(1, f.a + 1)
+    ),
+    (None, st.integers(-30, 30), True),
+    (None, st.lists(st.integers(-9, 9), min_size=2, max_size=2).map(zvec), False),
+    (
+        WITT_FRAME,
+        st.lists(tables(WITT_FRAME, umax=1, max_terms=2), min_size=2, max_size=2).map(
+            lambda ts: WittVec("R", [WITT_FRAME.elem(t, "R") for t in ts], frame=WITT_FRAME)
+        ),
+        False,
+    ),
+]
+
+
+def _draw_matrix(data, entries, zero, ints, n, m):
+    """An n x m matrix of drawn entries, zeros among them, and ints too
+    where they mix."""
+    kinds = [entries, st.just(zero)] + ([st.integers(-4, 4)] if ints else [])
+    return tuple(tuple(data.draw(st.one_of(*kinds)) for _ in range(m)) for _ in range(n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_dot_mmul_and_det_are_the_sequential_sums(data):
+    _, entries, ints = data.draw(st.sampled_from(MATRIX_RINGS))
+    sample = data.draw(entries)
+    zero = 0 if isinstance(sample, int) else sample.zero()
+
+    def matrix(n, m):
+        return _draw_matrix(data, entries, zero, ints, n, m)
+
+    # Witt vectors (no ints among them) stay at small sizes
+    k = data.draw(st.integers(1, 4 if ints else 3))
+    xs, ys = matrix(2, k)
+    assert mx.dot(xs, ys) == seq_dot(xs, ys)
+    n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3 if ints else 2))
+    A, B = matrix(n, k), matrix(k, m)
+    assert mx.mmul(A, B) == tuple(tuple(seq_dot(row, col) for col in zip(*B)) for row in A)
+    M = matrix(n, n)
+    assert mx.det(M) == seq_det(M)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_inverse_is_the_sequential_adjugate_over_the_determinant(data):
+    """Unit diagonals and off-diagonal entries in the maximal ideal (ints
+    among them) make the determinant a unit."""
+    rings = [r for r in MATRIX_RINGS if r[0] is not None and r[2]]  # elements, no Witt vectors
+    f, entries, _ = data.draw(st.sampled_from(rings))
+    n = data.draw(st.integers(1, 3))
+
+    def entry(i, j):
+        if i == j:
+            return _unit_of(data.draw, data.draw(entries))
+        return data.draw(st.one_of(entries, st.integers(-4, 4), st.just(0))) * f.p
+
+    M = tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
+    assert mx.inv(M) == seq_inv(M)

@@ -81,6 +81,18 @@ def test_det_of_empty_matrix_is_refused():
         mx.det(())
 
 
+def test_products_of_mismatched_shapes_are_refused():
+    f = ORACLE_FRAMES[0]
+    for one in (1, f.one()):
+        long_row, short_row = ((one, one, one),), ((one, one),)
+        col2, col3 = ((one,), (one,)), ((one,), (one,), (one,))
+        for A, B in ((long_row, col2), (short_row, col3)):
+            with pytest.raises(ValueError):
+                mx.mmul(A, B)
+            with pytest.raises(ValueError):
+                mx.dot(A[0], [row[0] for row in B])
+
+
 UNIT_FRAMES = [
     Frame.make(3, 0, 2, 2, 4, 3, 2, "u^2 + 3*u + 3"),
     Frame.make(3, 1, 1, 3, 4, 2, 2, "u + 3*(1 + t1)"),

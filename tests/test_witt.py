@@ -302,6 +302,27 @@ def test_kappa_refuses_what_delta_refuses():
             kappa(x)
 
 
+def test_empty_witt_vectors_are_refused():
+    f = frame313()
+
+    def below():
+        return pytest.raises(ValueError, match="Witt length must be >= 1")
+
+    for length in (0, -1):
+        for kw in ({"frame": f}, {"frame": f, "tag": "R"}, {"tag": "Z", "p": 3}):
+            with below():
+                from_int(5, length, **kw)
+        with below():
+            from_int(5, length, like=from_int(1, 2, frame=f))
+    assert ("S", -1) not in f._cache  # no ring at p^(N - 1) was made
+    for tag, kw in (("S", {}), ("S", {"frame": f}), ("R", {"frame": f}), ("Z", {"p": 3})):
+        with below():
+            WittVec(tag, [], **kw)
+    for length in (0, 2):
+        with pytest.raises(ValueError, match="S- and R-tagged Witt vectors need a frame"):
+            from_int(5, length)
+
+
 # -- carried ghost components --------------------------------------------------
 
 # a > N, a < N and a = N; e = 1, 2, 3; r = 0, 1, 2
