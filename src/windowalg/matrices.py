@@ -1,9 +1,11 @@
 """Small exact matrices over the ring elements of this package.
 
-Matrices are tuples of tuples.  Ranks stay tiny (window rank <= 4), so
-det, adjugate and inv all go through cofactor expansion, which works
-over any commutative ring element type that supports +, - and * (plain
-ints included); adjugate of a 1x1 matrix also needs .one().
+Matrices are tuples of tuples.  det, adjugate and inv all go through one
+cofactor expansion along the first row, which works over any commutative
+ring element type that supports +, - and * (plain ints included);
+adjugate of a 1x1 matrix also needs .one().  Every minor is memoized, so
+det of an n x n matrix costs 2^n - n - 1 dots and adjugate shares one
+memo across its n^2 cofactors.
 
 Every entry of a product and every cofactor sum is one dot(xs, ys).  It
 uses the dot method of the first operand that has one (the S, R and T
@@ -75,14 +77,22 @@ def is_zero(A):
 
 
 def det(M):
-    """Determinant by cofactor expansion along the first row."""
-    n = len(M)
-    if n == 0:
+    """Determinant by cofactor expansion along the first row, minors memoized."""
+    if not M:
         raise ValueError("empty matrix has no determinant here")
-    if n == 1:
-        return M[0][0]
-    cofs = [det(_minor(M, 0, j)) for j in range(n)]
-    return dot(M[0], [-c if j % 2 else c for j, c in enumerate(cofs)])
+    idx = tuple(range(len(M)))
+    return _det(M, idx, idx, {})
+
+
+def _det(M, rows, cols, memo):
+    """det of M on the rows and cols index tuples; each minor kept in memo."""
+    if len(rows) == 1:
+        return M[rows[0]][cols[0]]
+    if (rows, cols) not in memo:
+        cofs = [_det(M, rows[1:], cols[:j] + cols[j + 1 :], memo) for j in range(len(cols))]
+        row = [M[rows[0]][c] for c in cols]
+        memo[rows, cols] = dot(row, [-c if j % 2 else c for j, c in enumerate(cofs)])
+    return memo[rows, cols]
 
 
 def det_is_unit(M, p):
@@ -91,26 +101,17 @@ def det_is_unit(M, p):
     return det(mmap(M, lambda x: x.constant_term())) % p != 0
 
 
-def _minor(M, i, j):
-    return tuple(
-        tuple(x for jj, x in enumerate(row) if jj != j)
-        for ii, row in enumerate(M)
-        if ii != i
-    )
-
-
 def adjugate(M):
     n = len(M)
     if n == 1:
         return ((M[0][0].one(),),)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            cof = det(_minor(M, j, i))
-            row.append(-cof if (i + j) % 2 else cof)
-        out.append(tuple(row))
-    return tuple(out)
+    idx, memo = tuple(range(n)), {}
+
+    def cof(i, j):  # (-1)^(i+j) det of M without row j and column i
+        c = _det(M, idx[:j] + idx[j + 1 :], idx[:i] + idx[i + 1 :], memo)
+        return -c if (i + j) % 2 else c
+
+    return tuple(tuple(cof(i, j) for j in range(n)) for i in range(n))
 
 
 def inv(M):

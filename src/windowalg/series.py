@@ -250,11 +250,11 @@ class _Kernel:
                 band.append((k, g[k]))
         return sorted(bands.items())
 
-    def umul(self, f, g, gb=None, out=None):
-        """Product of f by the inner operand g under the caps (only the
-        t-cap in the quotient ring, which divides instead), with exact
-        coefficients, neither reduced nor normalized; gb is bands(g).
-        It is added into out when given (dot sums products there).
+    def umul(self, f, g, gb, out):
+        """Add the product of f by the inner operand g under the caps (only
+        the t-cap in the quotient ring, which divides instead) into the
+        table out, with exact coefficients, neither reduced nor normalized;
+        gb is bands(g) or None.
 
         For a term k1 of f the bands of g end at the u-cap minus the
         u-degree of k1, and a band ends at its first k2 >= tbound - k1,
@@ -262,8 +262,6 @@ class _Kernel:
         most two terms tests both caps on g unsorted: banding costs more.
         """
         tb, um, ul = self.tbound, self.layout.umask, self.ulim
-        if out is None:
-            out = {}
         get = out.get
         if len(f) <= 2:
             for k1, c1 in f.items():
@@ -272,7 +270,7 @@ class _Kernel:
                     if k2 < lim and k2 & um < ulk:
                         k = k1 + k2
                         out[k] = get(k, 0) + c1 * c2
-            return out
+            return
         if gb is None:
             gb = self.bands(g)
         for k1, c1 in f.items():
@@ -285,7 +283,6 @@ class _Kernel:
                         break
                     k = k1 + k2
                     out[k] = get(k, 0) + c1 * c2
-        return out
 
     def sqr(self, f):
         """mul(f, f), forming each unordered pair of terms once: a term

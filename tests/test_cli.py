@@ -182,6 +182,33 @@ def test_duplicate_solve_block(capsys, tmp_path):
     assert out == "parse_error = line 24, col 1: duplicate [solve] block\n"
 
 
+def test_height_ten_windows_run_in_seconds(tmp_path):
+    # each command takes a determinant or an adjugate of the 10 x 10
+    # matrix; re-expanding every minor runs for minutes, memoized well under 1 s
+    n = 10
+    rows = "".join(
+        "row = %s\n" % ", ".join("1 + u" if i == j else "u" if j > i else "0" for j in range(n))
+        for i in range(n)
+    )
+    window = "\n[window]\nd = 1\nc = %d\n%s" % (n - 1, rows)
+    one = write(tmp_path, "h10.txt", FRAME + window)
+    two = write(tmp_path, "h10s.txt", FRAME + window + window + "\n[solve]\na = 2\n")
+    for command, path, line in (
+        ("validate", one, "window1 = valid"),
+        ("display", one, "display = valid"),
+        ("special-fiber", one, "height = 10"),
+        ("solve-iso", two, "residual = 0"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "windowalg.cli", command, path, "--machine"],
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert line in proc.stdout.splitlines()
+
+
 def test_selftest_runs_clean(capsys):
     code, out = run_cli(capsys, ["selftest", "--machine"])
     assert code == 0

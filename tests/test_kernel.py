@@ -661,14 +661,15 @@ def test_dot_mmul_and_det_are_the_sequential_sums(data):
     def matrix(n, m):
         return _draw_matrix(data, entries, zero, ints, n, m)
 
-    # Witt vectors (no ints among them) stay at small sizes
+    # Witt vectors (no ints among them) stay at small sizes in dot and mmul
     k = data.draw(st.integers(1, 4 if ints else 3))
     xs, ys = matrix(2, k)
     assert mx.dot(xs, ys) == seq_dot(xs, ys)
     n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3 if ints else 2))
     A, B = matrix(n, k), matrix(k, m)
     assert mx.mmul(A, B) == tuple(tuple(seq_dot(row, col) for col in zip(*B)) for row in A)
-    M = matrix(n, n)
+    s = data.draw(st.integers(1, 5))
+    M = matrix(s, s)
     assert mx.det(M) == seq_det(M)
 
 

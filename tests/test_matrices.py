@@ -12,6 +12,7 @@ from sympy import Matrix, Poly, symbols
 
 from windowalg import Frame, TElem, WittVec, make_window, special_fiber
 from windowalg import matrices as mx
+from windowalg import series
 from windowalg.rand import random_frame, random_series, random_unit_matrix
 
 from helpers import make_rng, special_fiber_oracle
@@ -61,6 +62,31 @@ def test_det_and_adjugate_against_sympy():
                 for i in range(n):
                     for j in range(n):
                         assert adj[i][j].coeffs == _truncated(f, sadj[i, j].expand(), gens)
+
+
+# Kernel dots per det and per adjugate of an n x n S matrix: one per
+# minor of two or more rows, so 2^n - n - 1 for det.
+MEMOIZED_DOTS = {2: (1, 0), 3: (4, 9), 4: (11, 34), 5: (26, 95), 6: (57, 236)}
+
+
+def test_det_and_adjugate_form_each_minor_once(monkeypatch):
+    f = Frame.make(3, 0, 1, 3, 6, 4, 2, "u + 3")
+    calls = []
+    kernel_dot = series._Kernel.dot
+
+    def counted(self, pairs):
+        calls.append(1)
+        return kernel_dot(self, pairs)
+
+    monkeypatch.setattr(series._Kernel, "dot", counted)
+    for n, (det_dots, adj_dots) in MEMOIZED_DOTS.items():
+        M = mx.mat([[f.const(n * i + j + 1) + f.u() ** ((i + j) % 3) for j in range(n)] for i in range(n)])
+        calls.clear()
+        mx.det(M)
+        assert len(calls) == det_dots == 2**n - n - 1
+        calls.clear()
+        mx.adjugate(M)
+        assert len(calls) == adj_dots
 
 
 square_int_matrices = st.integers(1, 5).flatmap(
