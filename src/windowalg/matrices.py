@@ -5,7 +5,8 @@ cofactor expansion along the first row, which works over any commutative
 ring element type that supports +, - and * (plain ints included);
 adjugate of a 1x1 matrix also needs .one().  Every minor is memoized, so
 det of an n x n matrix costs 2^n - n - 1 dots and adjugate shares one
-memo across its n^2 cofactors.
+memo across its n^2 cofactors; both refuse n above MAX_HEIGHT.  Integer
+matrices have their own routine, inv_mod: Gauss-Jordan mod p^k, n^3 steps.
 
 Every entry of a product and every cofactor sum is one dot(xs, ys).  It
 uses the dot method of the first operand that has one (the S, R and T
@@ -76,11 +77,22 @@ def is_zero(A):
     return all(x.is_zero() for row in A for x in row)
 
 
-def det(M):
-    """Determinant by cofactor expansion along the first row, minors memoized."""
+# det and adjugate double their work per row; taller matrices are refused
+MAX_HEIGHT = 12
+
+
+def _indices(M):
+    """range(n) as a tuple for a matrix of height 1 <= n <= MAX_HEIGHT."""
     if not M:
         raise ValueError("empty matrix has no determinant here")
-    idx = tuple(range(len(M)))
+    if len(M) > MAX_HEIGHT:
+        raise ValueError("matrix height %d is above the cap of %d" % (len(M), MAX_HEIGHT))
+    return tuple(range(len(M)))
+
+
+def det(M):
+    """Determinant by cofactor expansion along the first row, minors memoized."""
+    idx = _indices(M)
     return _det(M, idx, idx, {})
 
 
@@ -98,14 +110,32 @@ def _det(M, rows, cols, memo):
 def det_is_unit(M, p):
     """Whether det(M) is a unit: x -> constant term mod p is a ring map onto the
     residue field F_p of the local rings S, R (E -> 0) and T (p*v - u^e -> 0)."""
-    return det(mmap(M, lambda x: x.constant_term())) % p != 0
+    return inv_mod(mmap(M, lambda x: x.constant_term()), p, 1) is not None
+
+
+def inv_mod(M, p, k):
+    """M^(-1) mod p^k, entries in [0, p^k), or None when p | det(M).  Z/p^k is
+    local: Gauss-Jordan takes unit pivots, and a column without one means p | det."""
+    m, n = p**k, len(M)
+    rows = [[x % m for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
+    for j in range(n):
+        piv = next((i for i in range(j, n) if rows[i][j] % p), None)
+        if piv is None:
+            return None
+        rows[j], rows[piv] = rows[piv], rows[j]
+        s = pow(rows[j][j], -1, m)
+        rows[j] = [x * s % m for x in rows[j]]
+        for i in range(n):
+            if i != j and (f := rows[i][j]):
+                rows[i] = [(x - f * y) % m for x, y in zip(rows[i], rows[j])]
+    return tuple(tuple(row[n:]) for row in rows)
 
 
 def adjugate(M):
-    n = len(M)
+    idx, memo = _indices(M), {}
+    n = len(idx)
     if n == 1:
         return ((M[0][0].one(),),)
-    idx, memo = tuple(range(n)), {}
 
     def cof(i, j):  # (-1)^(i+j) det of M without row j and column i
         c = _det(M, idx[:j] + idx[j + 1 :], idx[:i] + idx[i + 1 :], memo)

@@ -44,7 +44,7 @@ shared values, one per field tuple in a bounded table (see Frame).
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from math import comb, isqrt
+from math import comb
 
 # Hard ceiling on a*e so level changes (lifting, rigidity at level a*p)
 # cannot silently explode table sizes; it also sizes the packed u-field.
@@ -56,6 +56,11 @@ _WIDE = 32
 # Most term pairs one uncapped product may form.  Far above what any real
 # E needs, it bounds the time of each product in the exact parse of E.
 _PAIRS = 1 << 21
+
+# Miller-Rabin to the prime bases up to 37 decides primality below this
+# bound, the least strong pseudoprime to all of them (Sorenson and
+# Webster, 2015); validate_frame refuses p from it on.
+MAX_PRIME = 318665857834031151167461
 
 
 class PrecisionError(ArithmeticError):
@@ -813,6 +818,24 @@ class SeriesElem(_Elem):
         return blocks.render_table(self.coeffs, self.frame.r)
 
 
+def _is_prime(n):
+    """Deterministic Miller-Rabin for odd 3 <= n < MAX_PRIME."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(b, d, n)
+        if b % n == 0 or x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def validate_frame(frame):
     """Check every frame invariant; returns a list of violation strings.
 
@@ -822,7 +845,9 @@ def validate_frame(frame):
     f = frame
     if f.p < 3:
         errors.append("p must be an odd prime >= 3")
-    elif any(f.p % d == 0 for d in range(2, isqrt(f.p) + 1)):
+    elif f.p >= MAX_PRIME:
+        errors.append("p must be below %d, the bound of the primality test" % MAX_PRIME)
+    elif not _is_prime(f.p):
         errors.append("p is not prime")
     if f.r < 0:
         errors.append("r must be >= 0")

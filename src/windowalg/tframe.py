@@ -12,7 +12,9 @@ The solver takes two window matrices with A1 - A2 in u^e*S and returns
 the unique X = I + vY over T_a with A2*C*X = sigma(X)*A1*C.  As v^a = 0,
 Y is needed only mod v^(a-1); there it sums the iterates of Psi(Y) =
 pC^(-1)*A2^(-1)*sigma(Y)*s*A1*C, s = p^(p-2) v^(p-1), on D = pC^(-1)*Z*C
-up to the first zero one: Psi is linear and multiplies by v^(p-1).
+up to the first zero one: Psi is linear and takes v-valuation m to at
+least p*m + p - 1, so iterate k vanishes mod v^(a-1) once p^k > a - 1;
+a nonzero iterate past that bound is a PrecisionError, not a hang.
 """
 
 from __future__ import annotations
@@ -312,12 +314,15 @@ def solve_iso(w1, w2, level=None):
     D = mx.mmul(pCinv, mx.mmul(emb(mx.mmul(A2_inv, W)), CT))
     # v * u^(e(p-2)) = p^(p-2) * v^(p-1); on sigma(Y) first, whose terms then sit at
     # u-degree (p-1)e or more, so the u-cap ends their rows against A1C early
-    s = TElem.v(low, lv, frame.p - 1) * (frame.p ** (frame.p - 2))
+    s = TElem.v(low, lv, frame.p - 1) * pow(frame.p, frame.p - 2, frame.p**frame.N)
     psi = lambda Y: mx.mmul(PA, mx.mmul(mx.mmap(Y, lambda x: x.sigma() * s), A1C))
 
-    Y, term = D, psi(D)
+    # iterate k has v-valuation >= p^k - 1, so it vanishes mod v^lv once p^k > lv
+    Y, term, k = D, psi(D), 1
     while not mx.is_zero(term):
-        Y, term = mx.madd(Y, term), psi(term)
+        if frame.p**k > lv:
+            raise PrecisionError("Psi iterate %d is nonzero past its valuation bound" % k)
+        Y, term, k = mx.madd(Y, term), psi(term), k + 1
 
     ring = _tring(frame, level)[0]
     vY = mx.mmap(Y, lambda y: TElem._of(frame, level, ring.clip(ring.shift_u(y.packed, frame.e))))
@@ -345,19 +350,17 @@ def residual(w1, w2, X, level):
     return mx.msub(lhs, rhs)
 
 
-def _vp_factorial(n, p):
-    total = 0
-    q = p
-    while q <= n:
-        total += n // q
-        q *= p
-    return total
-
-
 def nu(a, p):
-    """min over n >= a of ord_p(p^n / n!), scanned on a provably
-    sufficient window (the summand grows at least linearly past it)."""
-    if a < 1:
-        raise ValueError("nu needs a >= 1")
-    n_max = max(a, (p - 1) * (a + 2))
-    return min(n - _vp_factorial(n, p) for n in range(a, n_max + 1))
+    """min over n >= a of ord_p(p^n / n!) = (n(p-2) + s_p(n))/(p-1) (Legendre; s_p
+    the base-p digit sum), taken at a or at a rounded up to a multiple of p^j,
+    p^(j-1) <= a: past a, the digit sum drops only where n reaches such a multiple."""
+    if a < 1 or p < 2:
+        raise ValueError("nu needs a >= 1 and p >= 2")
+    best, q = a, 1  # the value at n = a is at most a; q = 1 gives n = a
+    while q <= p * a:
+        n = m = -(-a // q) * q
+        s = 0
+        while m:
+            m, s = m // p, s + m % p
+        best, q = min(best, (n * (p - 2) + s) // (p - 1)), q * p
+    return best

@@ -312,17 +312,20 @@ def special_fiber(w):
     """Invariants of the window over the residue ring of (t, u).
 
     Sending t and u to zero is a ring map S -> Z/p^N, so everything is
-    read on the matrix A0 of constant terms: Phi0 is blockdiag(I_d,
-    E(0)*I_c) * A0^(-1), and nilpotence uses the V-operator surrogate
-    N0 = blockdiag(0_d, I_c) * A0^(-1) mod p, raised to the height-th
-    power.  The Frobenius twist of each step is the identity on
-    residues mod p (Fermat), so the product needs no twisting.
+    read on the integer matrix A0 of constant terms, inverted mod p^N by
+    mx.inv_mod: Phi0 is blockdiag(I_d, E(0)*I_c) * A0^(-1), and
+    nilpotence uses the V-operator surrogate N0 = blockdiag(0_d, I_c) *
+    A0^(-1) mod p, raised to the height-th power.  The Frobenius twist
+    of each step is the identity on residues mod p (Fermat), so the
+    product needs no twisting.
     """
     frame = w.frame
     n = w.height
     pmod = frame.p**frame.N
     A0 = [[x.constant_term() % pmod for x in row] for row in w.A]
-    inv0 = mx.mmap(mx.inv(mx.mmap(A0, frame.const)), lambda x: x.constant_term())
+    inv0 = mx.inv_mod(A0, frame.p, frame.N)
+    if inv0 is None:
+        raise ValueError("det(A) is not a unit")
     E0 = frame.E.constant_term()
     Phi0 = [[x * E0 % pmod if i >= w.d else x for x in row] for i, row in enumerate(inv0)]
     p = frame.p

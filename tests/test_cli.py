@@ -182,31 +182,66 @@ def test_duplicate_solve_block(capsys, tmp_path):
     assert out == "parse_error = line 24, col 1: duplicate [solve] block\n"
 
 
-def test_height_ten_windows_run_in_seconds(tmp_path):
-    # each command takes a determinant or an adjugate of the 10 x 10
-    # matrix; re-expanding every minor runs for minutes, memoized well under 1 s
-    n = 10
+def triangular_window(n):
+    """A [window] block of height n: 1 + u on the diagonal, u above it, d = 1."""
     rows = "".join(
         "row = %s\n" % ", ".join("1 + u" if i == j else "u" if j > i else "0" for j in range(n))
         for i in range(n)
     )
-    window = "\n[window]\nd = 1\nc = %d\n%s" % (n - 1, rows)
+    return "\n[window]\nd = 1\nc = %d\n%s" % (n - 1, rows)
+
+
+def run_child(args, timeout):
+    """windowalg.cli in a child interpreter under a timeout, as a console run would."""
+    return subprocess.run(
+        [sys.executable, "-m", "windowalg.cli", *args, "--machine"],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
+def test_height_ten_windows_run_in_seconds(tmp_path):
+    # each command at height 10 takes a determinant or an adjugate of the
+    # 10 x 10 matrix; re-expanding every minor runs for minutes, memoized
+    # well under 1 s.  At height 20 validate, display and special-fiber ask
+    # only integer questions (inv_mod, n^3 steps); the memoized cofactor
+    # expansion of the constant terms ran past 10 s there.
+    window = triangular_window(10)
     one = write(tmp_path, "h10.txt", FRAME + window)
     two = write(tmp_path, "h10s.txt", FRAME + window + window + "\n[solve]\na = 2\n")
-    for command, path, line in (
-        ("validate", one, "window1 = valid"),
-        ("display", one, "display = valid"),
-        ("special-fiber", one, "height = 10"),
-        ("solve-iso", two, "residual = 0"),
+    tall = write(tmp_path, "h20.txt", FRAME + triangular_window(20))
+    for command, path, line, timeout in (
+        ("validate", one, "window1 = valid", 20),
+        ("display", one, "display = valid", 20),
+        ("special-fiber", one, "height = 10", 20),
+        ("solve-iso", two, "residual = 0", 20),
+        ("validate", tall, "window1 = valid", 10),
+        ("display", tall, "display = valid", 10),
+        ("special-fiber", tall, "height = 20", 10),
     ):
-        proc = subprocess.run(
-            [sys.executable, "-m", "windowalg.cli", command, path, "--machine"],
-            capture_output=True,
-            text=True,
-            timeout=20,
-        )
+        proc = run_child([command, path], timeout)
         assert proc.returncode == 0, proc.stderr
         assert line in proc.stdout.splitlines()
+
+
+def test_large_primes_run_in_seconds(tmp_path):
+    # once linear in p or in sqrt(p): nu scanned (p-1)(a+2) integers (past
+    # 20 s), solve-iso built the integer p^(p-2) (about 5 s), and trial
+    # division ran up to sqrt(p) (past 20 s); each now takes well under 1 s
+    frame = lambda p: FRAME.replace("p = 3", "p = %d" % p).replace("u + 3", "u + %d" % p)
+    nu_job = write(tmp_path, "nu.txt", frame(10**9 + 7))
+    solve_job = write(tmp_path, "solve.txt", SOLVE_JOB.replace(FRAME, frame(1000003)))
+    validate_job = write(tmp_path, "validate.txt", frame(10**18 + 3))
+    # -p mod p^6: the unique lift is X = 1 - pv, as for p = 3
+    solve_out = "level = 2\nX[1][1] = 1 + (%d)*v\nresidual = 0\n" % (1000003**6 - 1000003)
+    for command, path, out in (
+        ("nu", nu_job, "nu = 3\n"),
+        ("solve-iso", solve_job, solve_out),
+        ("validate", validate_job, "frame = valid\n"),
+    ):
+        proc = run_child([command, path], 3)
+        assert (proc.returncode, proc.stdout) == (0, out), proc.stderr
 
 
 def test_selftest_runs_clean(capsys):
@@ -244,12 +279,18 @@ row = 4
 
 
 def test_library_refusals_are_one_error_line(capsys, tmp_path):
-    # HypothesisError and IsogenyError end in main's ValueError path
+    # HypothesisError, IsogenyError and the height cap of det and adjugate
+    # (whose work doubles per row) end in main's ValueError path
     bad_pair = FRAME + "\n[window]\nd = 0\nc = 1\nrow = 1\n\n[window]\nd = 0\nc = 1\nrow = 4\n"
     not_a_morphism = MODULE_JOB.replace("row = 3, 0\nrow = 0, 3", "row = 1, 1\nrow = 0, 1")
+    tall = FRAME + triangular_window(13) * 2
+    ident = "".join("row = %s\n" % ", ".join("01"[j == i] for j in range(13)) for i in range(13))
+    too_tall = "error = matrix height 13 is above the cap of 12\n"
     cases = [
         ("solve-iso", bad_pair, "error = A2^(-1)*A1 is not congruent to I modulo u^e\n"),
         ("module", not_a_morphism, "error = U is not a window morphism\n"),
+        ("solve-iso", tall + "\n[solve]\na = 2\n", too_tall),
+        ("module", tall + "\n[matrix]\n" + ident, too_tall),
     ]
     for command, job, line in cases:
         path = write(tmp_path, "job.txt", job)

@@ -107,6 +107,37 @@ def test_det_of_empty_matrix_is_refused():
         mx.det(())
 
 
+def test_cofactor_expansion_above_the_height_cap_is_refused():
+    n = mx.MAX_HEIGHT
+    ints = lambda n: mx.mat([[int(i == j) for j in range(n)] for i in range(n)])
+    for M in (ints(n + 1), mx.identity(n + 1, ORACLE_FRAMES[0].one()), ints(20)):
+        for fn in (mx.det, mx.adjugate, mx.inv):
+            with pytest.raises(ValueError, match="height %d is above the cap of 12" % len(M)):
+                fn(M)
+    assert mx.det(ints(n)) == 1
+
+
+@st.composite
+def inv_mod_cases(draw):
+    """(M, p, k): an integer matrix of height 1..6, p in {3, 5, 7}, k in {1, 2, 4};
+    entries are often multiples of p, so singular matrices mod p come up."""
+    n, p = draw(st.integers(1, 6)), draw(st.sampled_from([3, 5, 7]))
+    k = draw(st.sampled_from([1, 2, 4]))
+    entry = st.one_of(st.integers(-50, 50), st.integers(-9, 9).map(lambda x: p * x))
+    return [[draw(entry) for _ in range(n)] for _ in range(n)], p, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(inv_mod_cases())
+def test_inv_mod_against_sympy(case):
+    rows, p, k = case
+    inv = mx.inv_mod(mx.mat(rows), p, k)
+    if Matrix(rows).det() % p == 0:
+        assert inv is None
+    else:
+        assert inv == mx.mat(Matrix(rows).inv_mod(p**k).tolist())
+
+
 def test_products_of_mismatched_shapes_are_refused():
     f = ORACLE_FRAMES[0]
     for one in (1, f.one()):

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from windowalg import Frame, validate_frame
+from windowalg import Frame, series, validate_frame
 from windowalg.rand import random_series, random_unit
 
 from helpers import (
@@ -161,6 +161,21 @@ def test_validate_frame_structural():
     assert "E is not monic of u-degree e" in validate_frame(
         Frame.make(3, 0, 2, 2, 4, 3, 2, "u + 3")
     )
+    # Miller-Rabin to the bases 2..37: exact below series.MAX_PRIME, the least
+    # strong pseudoprime to all of them, which is itself refused
+    from sympy import isprime
+
+    frame = lambda p: Frame.make(p, 0, 1, 2, 4, 3, 2, "u + %d" % p)
+    assert validate_frame(frame(10**18 + 3)) == []
+    # a strong pseudoprime to the bases 2, 3, 5 and 7, and a Carmichael number
+    for p in (3215031751, 561):
+        assert validate_frame(frame(p)) == ["p is not prime"]
+    bound = "p must be below %d, the bound of the primality test" % series.MAX_PRIME
+    for p in (series.MAX_PRIME, series.MAX_PRIME + 2, 10**30 + 57):
+        assert validate_frame(frame(p)) == [bound]
+    assert series._is_prime(series.MAX_PRIME)  # why the bound is where it is
+    for n in [*range(3, 3000, 2), 10**9 + 7, 2**61 - 1, 3825123056546413051]:
+        assert series._is_prime(n) == isprime(n)
 
 
 def test_level_shift_roundtrip():

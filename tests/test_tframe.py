@@ -329,10 +329,14 @@ def test_solution_from_series_isomorphism_descends():
 def test_nu_examples_and_brute_force():
     assert nu(1, 3) == 1
     assert nu(3, 3) == 2
-    for p in (3, 5, 7):
-        for a in range(1, 31):
-            brute = min(n - sum(n // p**k for k in range(1, 12)) for n in range(a, 400))
-            assert nu(a, p) == brute
+    # n - v_p(n!) >= n(p-2)/(p-1) >= n/2 for p >= 3, and nu(a) <= a, so for
+    # a < 800 the minimum over n >= a is taken below 1700
+    for p in (3, 5, 7, 11, 13):
+        brute = [n - sum(n // p**k for k in range(1, 12)) for n in range(1700)]
+        for a in range(1698, 0, -1):
+            brute[a] = min(brute[a], brute[a + 1])
+        for a in range(1, 800):
+            assert nu(a, p) == brute[a]
 
 
 def test_nu_inequality():
@@ -410,6 +414,19 @@ def test_solver_takes_two_psi_steps_at_p3_level6(monkeypatch):
         monkeypatch.undo()
         assert len(calls) <= 3 * (d + c) ** 2
         assert mx.meq(X, expect)
+
+
+def test_psi_iterates_past_the_valuation_bound_are_refused(monkeypatch):
+    # iterate k has v-valuation >= p^k - 1, so at p = 3 and level 6 (the sum
+    # runs at level 5) iterate 2 must vanish; with sigma replaced by the
+    # identity it does not, and the loop stops there instead of running on
+    from windowalg.series import PrecisionError
+
+    f = Frame.make(3, 1, 2, 6, 8, 3, 2, "u^2 + 3*t1*u + 3*(1 + t1)")
+    w1, w2 = random_solve_pair(make_rng(521), f, 1, 1)
+    monkeypatch.setattr(TElem, "sigma", lambda x: x)
+    with pytest.raises(PrecisionError, match="Psi iterate 2 is nonzero"):
+        solve_iso(w1, w2)
 
 
 def test_solver_precision_shadow():
