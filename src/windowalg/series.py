@@ -21,8 +21,8 @@ j.  The layout depends only on r and D: each t-field holds 2*D and the
 u-field holds 2*MAX_UCAP - 1, so the product of two monomials inside
 the caps is one integer add that never carries between fields, the
 t-cap is one compare (the total degree is the top field) and the u-cap
-one mask and one compare.  Every ring of a frame (S, R, boosted, exact,
-and the T-ring of tframe, which is the S kernel of a level with p-power
+one mask and one compare.  Every ring of a frame (S, R, boosted, and
+the T-ring of tframe, which is the S kernel of a level with p-power
 weights on its coefficients) shares the layout, and the layout does not
 depend on the level, so moving a table between rings never repacks.
 Tables keyed by exponent tuples (alpha_1, .., alpha_r, j) remain the
@@ -526,7 +526,7 @@ class Frame:
         return min(self.a, self.N)
 
     def ring(self, tag, boost=0):
-        """Kernel of S, R = S/E or X (S's caps, exact integer coefficients)."""
+        """Kernel of S or of its E-quotient R."""
         key = (tag, boost)
         ring = self._cache.get(key)
         if ring is None:
@@ -536,8 +536,6 @@ class Frame:
             elif tag == "R":
                 pmod = self.p ** (self.rmod_exp() + boost)
                 ring = _Kernel(self.layout, self.p, self.D, self.e, pmod, self.e, self._E_tail)
-            elif tag == "X":
-                ring = _Kernel(self.layout, self.p, self.D, self.a * self.e, None)
             else:
                 raise ValueError("unknown ring tag %r" % tag)
             self._cache[key] = ring

@@ -9,6 +9,7 @@ the boundary and normal-decomposed immediately.
 from __future__ import annotations
 
 from itertools import product
+from math import gcd
 
 from . import matrices as mx
 from .series import FrameMismatchError, PrecisionError
@@ -239,6 +240,29 @@ def _monomials(r, tdeg, urange):
     return [alpha + (j,) for alpha in alphas for j in urange]
 
 
+def _rank(columns):
+    """Rank over Q of sparse integer columns ({key: int}), fraction-free.
+
+    Pivot columns stay integral, keyed by their least key.  A column whose
+    lead k meets pivot P becomes P[k]*vec - vec[k]*P over the gcd of its
+    entries (Bareiss, 1968), so no entry leaves Z.
+    """
+    pivots = {}
+    for vec in columns:
+        while vec:
+            piv = pivots.get(lead := min(vec))
+            if piv is None:
+                pivots[lead] = vec
+                break
+            a, b = piv[lead], vec[lead]
+            out = {k: a * v for k, v in vec.items()}
+            for k, v in piv.items():
+                out[k] = out.get(k, 0) - b * v
+            g = gcd(*out.values())
+            vec = {k: v // g for k, v in out.items() if v}
+    return len(pivots)
+
+
 def vanishing_hom_dim(w1, w2, sub_a):
     """Exact-coefficient search for morphisms vanishing at the sublevel.
 
@@ -246,57 +270,35 @@ def vanishing_hom_dim(w1, w2, sub_a):
     coefficients (the stored residues are taken as exact integers, so
     feed it windows with exactly known entries), restricted to U that
     vanish modulo u^(sub_a*e), and returns the dimension of its
-    rational solution space.  Layer-by-layer in the residue field this
-    is the morphism equation solved coefficient-wise.
+    rational solution space.  U is height(w2) x height(w1), as in
+    WindowMorphism.  Each column is assembled in the S ring, by products
+    with monomials of coefficient 1 that leave residues as they are, and
+    _rank eliminates on the integer columns.
     """
-    from fractions import Fraction
-
     frame = w1.frame
     if w2.frame != frame:
         raise FrameMismatchError("windows over different frames")
-    n = w1.height
+    n1, n2 = w1.height, w2.height
     e = frame.e
-    ring = frame.ring("X")
-    m1 = mx.mmap(w1.phi_matrix(), lambda x: x.packed)
-    m2 = mx.mmap(w2.phi_matrix(), lambda x: x.packed)
+    ring = frame.ring("S")
+    m1, m2 = (mx.mmap(w.phi_matrix(), lambda x: x.packed) for w in (w1, w2))
     pack = frame.layout.pack
     monos = [pack(k) for k in _monomials(frame.r, frame.D, range(sub_a * e, frame.a * e))]
     columns = []
-    for i in range(n):
-        for j in range(n):
+    for i in range(n2):
+        for j in range(n1):
             for key in monos:
                 delta = {key: 1}
                 sdelta = ring.sigma(delta)
                 col = {}
-                for row in range(n):
-                    entry = ring.mul(m2[row][i], delta)
-                    for k, cval in entry.items():
+                for row in range(n2):
+                    for k, cval in ring.mul(m2[row][i], delta).items():
                         col[(row, j, k)] = col.get((row, j, k), 0) + cval
-                for colj in range(n):
-                    entry = ring.mul(sdelta, m1[j][colj])
-                    for k, cval in entry.items():
+                for colj in range(n1):
+                    for k, cval in ring.mul(sdelta, m1[j][colj]).items():
                         col[(i, colj, k)] = col.get((i, colj, k), 0) - cval
                 columns.append({k: v for k, v in col.items() if v})
-    rank = 0
-    pivots = {}
-    for col in columns:
-        vec = {k: Fraction(v) for k, v in col.items() if v}
-        while vec:
-            lead = min(vec)
-            piv = pivots.get(lead)
-            if piv is None:
-                scale = vec[lead]
-                pivots[lead] = {k2: v2 / scale for k2, v2 in vec.items()}
-                rank += 1
-                break
-            factor = vec[lead]
-            for k2, v2 in piv.items():
-                nv = vec.get(k2, 0) - factor * v2
-                if nv:
-                    vec[k2] = nv
-                else:
-                    vec.pop(k2, None)
-    return len(columns) - rank
+    return len(columns) - _rank(columns)
 
 
 class SpecialFiber:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from windowalg import blocks as blk
 from windowalg.cli import main
+from windowalg.matrices import MAX_HEIGHT
 
 FRAME = """[frame]
 p = 3
@@ -596,13 +597,23 @@ def biased(common, full):
 def desk_jobs(draw):
     """(command, job text): a desk-size frame (p <= 9, r <= 1, a, N, D <= 4),
     windows whose second matrix often agrees with the first modulo u^e, and a
-    [solve] level in -1..5.  Valid frames and window counts come up often."""
-    command = draw(st.sampled_from(["validate", "display", "solve-iso"]))
+    [solve] level in -1..5.  Valid frames and window counts come up often.
+    Now and then p is instead 1000003 or 10^9+7; rarely the windows are up to the
+    height cap tall, over a frame with r = 0, e = 1 and a <= 3.  A module job
+    mostly has a [matrix] block, often p^k times the identity."""
+    command = draw(st.sampled_from(["validate", "display", "solve-iso", "special-fiber",
+                                    "module", "nu"]))
     small = lambda lo: st.integers(lo, 4)
-    valid = st.tuples(st.sampled_from([3, 5, 7]), st.integers(0, 1), small(1), small(1), small(2),
+    primes = st.sampled_from([3, 5, 7] * 3 + [1000003, 10**9 + 7])
+    valid = st.tuples(primes, st.integers(0, 1), small(1), small(1), small(2),
                       small(0), small(1), st.just(True))
     full = st.tuples(st.integers(0, 9), st.integers(-1, 1), *[small(0)] * 5, st.just(False))
     p, r, e, a, N, D, L, eisenstein = draw(biased(valid, full))
+    # over these frames a dense height-12 solve-iso stays well inside the
+    # deadline (about 1.5 s on a 2-core host); over some with r = 1, e = 2 it does not
+    tall = draw(st.integers(0, 7)) == 7
+    if tall:
+        r, e, a = 0, 1, min(a, 3)
     # one job in a few may hold a variable the frame lacks or a syntax error
     good = GOOD_ATOMS if r > 0 else tuple(x for x in GOOD_ATOMS if "t1" not in x)
     poly = polys(st.sampled_from(draw(st.sampled_from([good, good + BAD_ATOMS]))))
@@ -612,16 +623,22 @@ def desk_jobs(draw):
         E = draw(poly)
     text = "[frame]\np = %d\nr = %d\ne = %d\na = %d\nN = %d\nD = %d\nL = %d\nE = %s\n" % (
         p, r, e, a, N, D, L, E)
-    d, c = draw(st.integers(0, 2)), draw(st.integers(0, 2))
-    n = d + c
+    n = draw(st.integers(5, MAX_HEIGHT)) if tall else draw(st.integers(0, 4))
+    d = draw(st.integers(0, n))
     A1 = [[draw(poly) if i != j else "1 + " + draw(poly) for j in range(n)] for i in range(n)]
     congruent = lambda x: st.just("(%s) + u^%d*(%s)" % (x, e, draw(poly)))
     A2 = [[draw(biased(congruent(x), poly)) for x in row] for row in A1]
-    count = 1 if command == "display" else 2
+    A2 = A1 if command == "module" and draw(st.booleans()) else A2
+    count = 1 if command in ("display", "special-fiber") else 2
     levels = draw(biased(st.just((None, None)), st.tuples(*[st.one_of(st.none(), small(0))] * 2)))
     for A, level in list(zip((A1, A2), levels))[: draw(biased(st.just(count), st.integers(0, 2)))]:
         text += "\n[window]\n" + ("" if level is None else "a = %d\n" % level)
-        text += "d = %d\nc = %d\n" % (d, c) + "".join("row = %s\n" % ", ".join(r) for r in A)
+        text += "d = %d\nc = %d\n" % (d, n - d) + "".join("row = %s\n" % ", ".join(r) for r in A)
+    if command == "module" and draw(st.integers(0, 9)):
+        scalar = str(p ** draw(st.integers(0, 2)))
+        cell = lambda i, j: draw(poly) if draw(st.integers(0, 3)) == 0 else scalar if i == j else "0"
+        text += "\n[matrix]\n" + "".join(
+            "row = %s\n" % ", ".join(cell(i, j) for j in range(n)) for i in range(n))
     level = draw(st.one_of(st.none(), st.integers(-1, 5)))
     text += "" if level is None else "\n[solve]\na = %d\n" % level
     return command, text

@@ -204,6 +204,15 @@ def test_frame_mismatch_raises():
         f.one() + f.one("R")
 
 
+def test_a_frame_has_the_rings_S_and_R_only():
+    f = frame313()
+    for tag in ("X", "T", ""):
+        with pytest.raises(ValueError, match="unknown ring tag %r" % tag):
+            f.ring(tag)
+        with pytest.raises(ValueError, match="unknown ring tag %r" % tag):
+            f.elem({}, tag)
+
+
 def test_negative_r_is_refused_before_parsing_E():
     with pytest.raises(ValueError, match="r must be >= 0"):
         Frame.make(p=3, r=-1, e=1, a=3, N=6, D=4, L=2, E="u + 3")

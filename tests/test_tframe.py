@@ -505,3 +505,50 @@ def test_solver_refuses_an_invalid_frame():
     w2 = make_window(f, 1, 0, ((f.one() + f.u(),),))
     with pytest.raises(ValueError, match="invalid frame: E is not monic of u-degree e"):
         solve_iso(w1, w2)
+
+
+def test_threads_share_a_cold_frame_and_its_elements():
+    # frames and elements are shared values, and TElem._prep may be filled by
+    # any thread: T products, to_display and solve_iso from four threads on
+    # one cold frame and one set of elements give the one-thread answers
+    import sys
+    import threading
+
+    from windowalg import series, to_display
+
+    params = (3, 1, 2, 4, 8, 6, 3, "u^2 + 3*t1*u + 3*(1 + t1)")
+
+    def job(f):
+        rng = make_rng(520)
+        w1, w2 = random_solve_pair(rng, f, 1, 1)
+        # many dense elements, each multiplied by v first: the threads then
+        # fill the prepared tables in step, each while others may read it
+        xs = [TElem.embed(random_series(rng, f, terms=60), 4) for _ in range(50)]
+        v = TElem.v(f, 4)
+        return lambda: ([x * v for x in xs], to_display(w1), solve_iso(w1, w2, 2))
+
+    expect = job(Frame.make(*params))()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(10):
+            # a new frame table makes every frame built from here on cold, the
+            # level frames of solve_iso included; old and new frames compare equal
+            series._frame.cache_clear()
+            f = Frame.make(*params)
+            assert not f._cache
+            run, barrier, results = job(f), threading.Barrier(4, timeout=60), [None] * 4
+
+            def work(i):
+                barrier.wait()
+                results[i] = run()
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert results == [expect] * 4
+    finally:
+        sys.setswitchinterval(interval)

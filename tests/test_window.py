@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from windowalg import (
     DecompositionError,
@@ -18,6 +20,7 @@ from windowalg import (
 )
 from windowalg import matrices as mx
 from windowalg.rand import random_unit_matrix, random_window
+from windowalg.window import _rank
 
 from helpers import frame313, frame_e2, iso_target, make_rng, q_shape_matrix, sigma_mat
 
@@ -179,6 +182,48 @@ def test_rigidity_search_oracle():
     w1 = random_window(rng, f2, d=1, c=1)
     w2 = random_window(rng, f2, d=1, c=1)
     assert vanishing_hom_dim(w1, w2, 2) == 0
+
+
+def test_hom_dims_between_windows_of_different_heights():
+    # U is height(w2) x height(w1).  At sub_a = 0 nothing has to vanish, and
+    # between these windows (A = I) the morphisms are the constant matrices:
+    # one dimension per entry of U
+    f = Frame.make(3, 0, 1, 3, 5, 3, 2, "u + 3")
+    one = make_window(f, 0, 1, ((f.one(),),))
+    two = make_window(f, 0, 2, mx.identity(2, f.one()))
+    ew = make_window(f, 1, 0, ((f.one(),),))
+    cases = [(one, one, 1), (two, two, 4), (ew, ew, 1), (one, two, 2), (two, one, 2)]
+    assert [vanishing_hom_dim(w1, w2, 0) for w1, w2, _ in cases] == [dim for *_, dim in cases]
+
+
+@st.composite
+def sparse_columns(draw):
+    """(row count, columns): sparse integer columns, some of them integer
+    combinations of earlier ones, so that the rank often falls short."""
+    rows = draw(st.integers(1, 7))
+    entries = st.integers(-60, 60) | st.integers(-(10**12), 10**12)
+    columns = []
+    for _ in range(draw(st.integers(0, 9))):
+        if columns and draw(st.booleans()):
+            weights = draw(st.lists(st.integers(-4, 4), min_size=len(columns), max_size=len(columns)))
+            col = {}
+            for w, prev in zip(weights, columns):
+                for k, v in prev.items():
+                    col[k] = col.get(k, 0) + w * v
+        else:
+            col = draw(st.dictionaries(st.integers(0, rows - 1), entries, max_size=rows))
+        columns.append({k: v for k, v in col.items() if v})
+    return rows, columns
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_columns())
+def test_rank_agrees_with_sympy(system):
+    from sympy import Matrix
+
+    rows, columns = system
+    expect = Matrix(rows, len(columns), lambda i, j: columns[j].get(i, 0)).rank()
+    assert _rank(columns) == expect
 
 
 def test_special_fiber_examples():

@@ -390,6 +390,21 @@ def test_tau_ghosts_agree_with_its_components():
         _assert_ghosts_agree(tau(f), f)
 
 
+def test_kappa_of_E_is_verschiebung_of_tau():
+    # F(kappa(E)) = kappa(sigma(E)) = p*tau = F(V(tau)), and indeed kappa(E) =
+    # V(tau): an S-side delta solve against tau's R-side ghost solve with its
+    # division by p, on desk, medium, p = 5 and e = 2 frames
+    for f in (
+        Frame.make(3, 0, 1, 3, 6, 4, 2, "u + 3"),
+        Frame.make(3, 1, 2, 4, 8, 6, 3, "u^2 + 3*t1*u + 3*(1 + t1)"),
+        Frame.make(5, 1, 1, 3, 5, 4, 2, "u + 5*(1 + t1)"),
+        Frame.make(3, 1, 2, 3, 6, 4, 2, "u^2 + 3*t1*u + 3*(1 + t1)"),
+    ):
+        comps = kappa(f.E, f.L + 1).comps
+        assert comps[0].is_zero()
+        assert list(comps[1:]) == list(tau(f).comps)
+
+
 def test_tau_folds_u_degrees_past_the_u_field():
     # sigma(E) holds u^9000, past the 13-bit packed u-field
     f = Frame.make(3, 0, 4000, 1, 3, 2, 2, "u^4000 + 3*u^3000 + 3")
