@@ -34,6 +34,8 @@ class IsogenyModule:
 
 def make_module(source, target, U):
     """Validate (W', W, U) and compute the p-exponent m of det(U)."""
+    if source.height != target.height:
+        raise IsogenyError("window heights differ")
     morph = WindowMorphism(source, target, U)
     if not morph.holds():
         raise IsogenyError("U is not a window morphism")
@@ -86,8 +88,11 @@ def validate_breuil_module(module):
     Injectivity of the structural map is inherited from the windows
     (nonvanishing determinants at this precision), the short exact
     sequence holds by construction, and projective dimension one forces
-    the two J-ranks to agree.
+    the two J-ranks to agree.  Windows of different heights (a
+    hand-built module) are reported before any algebra.
     """
+    if module.source.height != module.target.height:
+        return ["window heights differ"]
     errors = []
     if mx.det(module.source.phi_matrix()).is_zero():
         errors.append("source structural determinant vanishes")
@@ -95,10 +100,8 @@ def validate_breuil_module(module):
         errors.append("target structural determinant vanishes")
     if module.source.d != module.target.d:
         errors.append("rank bookkeeping violated: d' != d")
-    if module.source.height != module.target.height:
-        errors.append("window heights differ")
     adj = mx.adjugate(module.U)
-    det = mx.det(module.U)
+    det = mx.dot(module.U[0], [row[0] for row in adj])
     n = module.target.height
     prod = mx.mmul(adj, module.U)
     expect = mx.mscal(mx.identity(n, module.target.frame.one()), det)

@@ -12,6 +12,8 @@ Every entry of a product and every cofactor sum is one dot(xs, ys).  It
 uses the dot method of the first operand that has one (the S, R and T
 elements, which sum the products in one table and reduce it once), and
 otherwise (ints, Witt vectors) the sequential x0*y0 + x1*y1 + ...
+A product with a diagonal matrix is a scaling of columns (cscale) or of
+rows (rscale), one product per scaled entry.
 """
 
 from __future__ import annotations
@@ -52,6 +54,20 @@ def mscal(A, s):
     return tuple(tuple(x * s for x in row) for row in A)
 
 
+def cscale(M, factors):
+    """M * diag(factors): column j times factors[j], or as it is for None."""
+    return tuple(
+        tuple(x if f is None else x * f for x, f in zip(row, factors, strict=True)) for row in M
+    )
+
+
+def rscale(factors, M):
+    """diag(factors) * M: row i times factors[i], or as it is for None."""
+    return tuple(
+        row if f is None else tuple(x * f for x in row) for f, row in zip(factors, M, strict=True)
+    )
+
+
 def dot(xs, ys):
     """sum(x*y) over the nonempty xs and ys; unequal lengths are refused."""
     for x in (*xs, *ys):
@@ -82,9 +98,11 @@ MAX_HEIGHT = 12
 
 
 def _indices(M):
-    """range(n) as a tuple for a matrix of height 1 <= n <= MAX_HEIGHT."""
+    """range(n) as a tuple for a square matrix of height 1 <= n <= MAX_HEIGHT."""
     if not M:
         raise ValueError("empty matrix has no determinant here")
+    if any(len(row) != len(M) for row in M):
+        raise ValueError("matrix is not square")
     if len(M) > MAX_HEIGHT:
         raise ValueError("matrix height %d is above the cap of %d" % (len(M), MAX_HEIGHT))
     return tuple(range(len(M)))

@@ -260,14 +260,9 @@ class TWindow:
         return self.d + self.c
 
 
-def _c_matrix(frame, level, d, c):
-    return mx.diag([TElem.embed(frame.E, level)] * d + [TElem.const(frame, level, 1)] * c)
-
-
-def _pc_inverse(frame, level, d, c):
-    """p*C^(-1) = blockdiag((v+eps)^(-1) I_d, p I_c); E = p(v+eps)."""
-    veps = TElem.v(frame, level) + TElem.embed(frame.epsilon, level)
-    return mx.diag([veps.invert()] * d + [TElem.const(frame, level, frame.p)] * c)
+def _c_factors(frame, level, d, c):
+    """C = blockdiag(E I_d, I_c) over T_level, as the factors of a scaling."""
+    return [TElem.embed(frame.E, level)] * d + [None] * c
 
 
 def solve_iso(w1, w2, level=None):
@@ -305,13 +300,15 @@ def solve_iso(w1, w2, level=None):
         raise HypothesisError("A2^(-1)*A1 is not congruent to I modulo u^e") from None
 
     A2_inv = mx.inv(clip(w2.A))
-    CT = _c_matrix(low, lv, d, c)
-    pCinv = _pc_inverse(low, lv, d, c)
+    # pC^(-1) = blockdiag((v+eps)^(-1) I_d, p I_c), as E = p(v+eps)
+    C = _c_factors(low, lv, d, c)
+    veps = TElem.v(low, lv) + TElem.embed(low.epsilon, lv)
+    pCinv = [veps.invert()] * d + [frame.p] * c
     # formed once; embedding is a ring map, so it carries A2^(-1) to T
-    A1C = mx.mmul(emb(clip(w1.A)), CT)
-    PA = mx.mmul(pCinv, emb(A2_inv))
+    A1C = mx.cscale(emb(clip(w1.A)), C)
+    PA = mx.rscale(pCinv, emb(A2_inv))
 
-    D = mx.mmul(pCinv, mx.mmul(emb(mx.mmul(A2_inv, W)), CT))
+    D = mx.rscale(pCinv, mx.cscale(emb(mx.mmul(A2_inv, W)), C))
     # v * u^(e(p-2)) = p^(p-2) * v^(p-1); on sigma(Y) first, whose terms then sit at
     # u-degree (p-1)e or more, so the u-cap ends their rows against A1C early
     s = TElem.v(low, lv, frame.p - 1) * pow(frame.p, frame.p - 2, frame.p**frame.N)
@@ -344,9 +341,9 @@ def residual(w1, w2, X, level):
     """A2*C*X - sigma(X)*A1*C over T_level (zero for solver output)."""
     frame = w1.frame
     emb = lambda M: mx.mmap(M, lambda x: TElem.embed(x, level))
-    CT = _c_matrix(frame, level, w1.d, w1.c)
-    lhs = mx.mmul(emb(w2.A), mx.mmul(CT, X))
-    rhs = mx.mmul(mx.mmap(X, lambda x: x.sigma()), mx.mmul(emb(w1.A), CT))
+    C = _c_factors(frame, level, w1.d, w1.c)
+    lhs = mx.mmul(emb(w2.A), mx.rscale(C, X))
+    rhs = mx.mmul(mx.mmap(X, lambda x: x.sigma()), mx.cscale(emb(w1.A), C))
     return mx.msub(lhs, rhs)
 
 

@@ -34,11 +34,8 @@ class Window:
     def height(self):
         return self.d + self.c
 
-    def C_matrix(self):
-        return mx.diag([self.frame.E] * self.d + [self.frame.one()] * self.c)
-
     def phi_matrix(self):
-        return mx.mmul(self.A, self.C_matrix())
+        return mx.cscale(self.A, [self.frame.E] * self.d + [None] * self.c)
 
     def at_level(self, a):
         return Window(
@@ -166,10 +163,7 @@ class Triple:
 
 
 def _f_matrix_from(frame, d, c, A):
-    sE = frame.E.frobenius()
-    return tuple(
-        tuple(x * sE if j >= d else x for j, x in enumerate(row)) for row in A
-    )
+    return mx.cscale(A, [None] * d + [frame.E.frobenius()] * c)
 
 
 def triple_of(w):

@@ -238,18 +238,28 @@ def special_fiber_oracle(w):
     return A0, Phi0, all(x == 0 for row in prod for x in row)
 
 
+def c_matrix_T(frame, level, d, c):
+    """C = blockdiag(E*I_d, I_c) over T_level, as an explicit diagonal matrix."""
+    return mx.diag([TElem.embed(frame.E, level)] * d + [TElem.const(frame, level, 1)] * c)
+
+
+def pc_inverse_T(frame, level, d, c):
+    """p*C^(-1) = blockdiag((v+eps)^(-1)*I_d, p*I_c) over T_level, E = p(v+eps),
+    as an explicit diagonal matrix."""
+    veps = TElem.v(frame, level) + TElem.embed(frame.epsilon, level)
+    return mx.diag([veps.invert()] * d + [TElem.const(frame, level, frame.p)] * c)
+
+
 def solve_iso_reference(w1, w2, level):
     """X = I + vY with Y = sum of Psi^k(D) over every k < level, the full-level
     loop: Psi(Y) = (pC^(-1) * A2^(-1) * sigma(Y) * A1 * C) * s, s = p^(p-2) v^(p-1)."""
-    from windowalg.tframe import _c_matrix, _pc_inverse
-
     frame, n, d, c = w1.frame, w1.height, w1.d, w1.c
     emb = lambda M: mx.mmap(M, lambda x: TElem.embed(x, level))
     A2_inv = mx.inv(w2.A)
     Gm = mx.msub(mx.mmul(A2_inv, w1.A), mx.identity(n, frame.one()))
     shift = lambda x: frame.elem({k[:-1] + (k[-1] - frame.e,): v for k, v in x.coeffs.items()})
-    CT = _c_matrix(frame, level, d, c)
-    pCinv = _pc_inverse(frame, level, d, c)
+    CT = c_matrix_T(frame, level, d, c)
+    pCinv = pc_inverse_T(frame, level, d, c)
     A2T_inv, A1C = emb(A2_inv), mx.mmul(emb(w1.A), CT)
     s = TElem.v(frame, level, frame.p - 1) * (frame.p ** (frame.p - 2))
 

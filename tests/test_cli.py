@@ -135,6 +135,53 @@ def test_display_command(capsys, tmp_path):
     assert "display = valid" in out
 
 
+LOW_N_DISPLAY_JOB = FRAME.replace("N = 6\nD = 4", "N = 2\nD = 2") + """
+[window]
+d = 0
+c = 1
+row = 4
+"""
+
+UNEQUAL_HEIGHTS_MODULE_JOB = FRAME + """
+[window]
+d = 1
+c = 2
+row = 1, 0, 0
+row = 0, 1, 0
+row = 0, 0, 1
+
+[window]
+d = 1
+c = 1
+row = 1, 0
+row = 0, 1
+
+[matrix]
+row = 3, 0, 0
+row = 0, 3, 0
+"""
+
+
+def test_low_precision_display_is_valid(capsys, tmp_path):
+    # component 1 of p*B is known only mod p^(N-1); it once read invalid here
+    path = write(tmp_path, "d.txt", LOW_N_DISPLAY_JOB)
+    code, out = run_cli(capsys, ["display", path, "--machine"])
+    assert code == 0
+    assert out.endswith("B[1][1] = (4, 7)\ndisplay = valid\n")
+    f11 = FRAME.replace("p = 3", "p = 11").replace("a = 3", "a = 4")
+    f11 = f11.replace("N = 6\nD = 4\nL = 2\nE = u + 3", "N = 2\nD = 1\nL = 3\nE = u + 11")
+    path = write(tmp_path, "d11.txt", f11 + "\n[window]\nd = 0\nc = 1\nrow = -29\n")
+    code, out = run_cli(capsys, ["display", path, "--machine"])
+    assert (code, out.splitlines()[-1]) == (0, "display = valid")
+
+
+def test_module_of_windows_of_different_heights_is_one_error_line(capsys, tmp_path):
+    # it once printed m, p_length and order from the determinant of a minor
+    path = write(tmp_path, "m.txt", UNEQUAL_HEIGHTS_MODULE_JOB)
+    code, out = run_cli(capsys, ["module", path, "--machine"])
+    assert (code, out) == (1, "error = window heights differ\n")
+
+
 def test_output_is_deterministic(capsys, tmp_path):
     path = write(tmp_path, "s.txt", SOLVE_JOB)
     _, out1 = run_cli(capsys, ["solve-iso", path, "--machine"])

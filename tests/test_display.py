@@ -90,6 +90,43 @@ def test_missing_tau_scaling_is_detected():
     assert validate_display(to_display(w)) == []
 
 
+def _raise_first_component(D, i, j):
+    """D with component 0 of B[i][j] raised by 1, same source."""
+    x = D.B[i][j]
+    entry = WittVec("R", (x.comps[0] + 1,) + x.comps[1:], frame=D.frame)
+    B = [[entry if (k, l) == (i, j) else y for l, y in enumerate(row)] for k, row in enumerate(D.B)]
+    return DDisplay(D.frame, D.d, D.c, B, source=D.source)
+
+
+def test_low_precision_windows_are_valid_displays():
+    # a window entry is known mod p^N, so component n of the L-column identity
+    # holds mod p^min(M, N - n), M = min(a, N); compared on every digit, these
+    # windows at N = 2 read invalid
+    cases = [
+        (Frame.make(11, 0, 1, 4, 2, 1, 3, "u + 11"), [x for x in range(12, 33) if x % 11]),
+        (Frame.make(3, 0, 1, 3, 2, 2, 2, "u + 3"), [4, 5, 7, 8]),
+    ]
+    for f, consts in cases:
+        for x in consts:
+            D = to_display(make_window(f, 0, 1, ((f.const(x),),)))
+            assert validate_display(D) == []
+            bad = validate_display(_raise_first_component(D, 0, 0))
+            assert "L-column 1 violates F' = p*F'_1" in bad
+
+
+def test_random_low_precision_displays_are_valid_and_tampering_is_seen():
+    rng = make_rng(406)
+    for _ in range(12):
+        N = rng.randint(2, 4)
+        f = random_frame(rng, e=rng.choice([1, 2]), a=rng.randint(2, 3), N=N, L=rng.randint(1, 3))
+        w = random_window(rng, f, max_height=2)
+        D = to_display(w)
+        assert validate_display(D) == []
+        if w.c:  # M = min(a, N) >= 2, so p * (raised component 0) shows
+            bad = validate_display(_raise_first_component(D, 0, w.d))
+            assert "L-column %d violates F' = p*F'_1" % (w.d + 1) in bad
+
+
 def test_tau_scaling_on_mixed_window():
     rng = make_rng(404)
     f = frame313()

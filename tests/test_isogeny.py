@@ -181,6 +181,30 @@ def test_validate_reports_rank_mismatch():
     assert "rank bookkeeping violated: d' != d" in report
 
 
+def test_windows_of_different_heights_are_refused_before_any_determinant(monkeypatch):
+    f = frame313()
+    src = make_window(f, 1, 2, mx.identity(3, f.one()))
+    tgt = make_window(f, 1, 1, mx.identity(2, f.one()))
+    three, zero = f.const(3), f.zero()
+    U = ((three, zero, zero), (zero, three, zero))
+
+    def refuse(M):
+        raise AssertionError("determinant taken")
+
+    with monkeypatch.context() as m:
+        m.setattr(mx, "det", refuse)
+        with pytest.raises(IsogenyError, match="^window heights differ$"):
+            make_module(src, tgt, U)
+    # a hand-built module gets the same report, before any algebra
+    from windowalg.isogeny import IsogenyModule
+
+    fake = IsogenyModule(src, tgt, U, 2, f.one())
+    with monkeypatch.context() as m:
+        for name in ("det", "adjugate", "mmul", "dot"):
+            m.setattr(mx, name, refuse)
+        assert validate_breuil_module(fake) == ["window heights differ"]
+
+
 def test_random_triangular_modules_validate():
     rng = make_rng(609)
     f = frame313(N=7)

@@ -150,6 +150,62 @@ def test_products_of_mismatched_shapes_are_refused():
                 mx.dot(A[0], [row[0] for row in B])
 
 
+def test_determinants_of_non_square_matrices_are_refused():
+    for M in (((1, 2, 3), (4, 5, 6)), ((1, 2), (3, 4), (5, 6))):
+        for fn in (mx.det, mx.adjugate, mx.inv):
+            with pytest.raises(ValueError, match="not square"):
+                fn(M)
+
+
+def _diagonal(entries, zero):
+    n = len(entries)
+    return mx.mat([[x if i == j else zero for j in range(n)] for i, x in enumerate(entries)])
+
+
+def test_scalings_are_products_with_diagonal_matrices():
+    # cscale(M, fs) = M * diag(fs) and rscale(fs, M) = diag(fs) * M, where a
+    # factor None stands for 1 and an int n for the ring's constant n
+    rng = make_rng(612)
+    f, level = ORACLE_FRAMES[1], 2
+    kinds = [
+        (lambda: rng.randint(-20, 20), 1, 0),
+        (lambda: random_series(rng, f, terms=2), f.one(), f.zero()),
+        (lambda: random_series(rng, f, terms=2, tag="R"), f.one("R"), f.zero("R")),
+        (
+            lambda: TElem.embed(random_series(rng, f, terms=2), level),
+            TElem.const(f, level, 1),
+            TElem.const(f, level, 0),
+        ),
+    ]
+    for draw, one, zero in kinds:
+        for n in (1, 2, 3):
+            for _ in range(3):
+                M = mx.mat([[draw() for _ in range(n)] for _ in range(n)])
+                fs = [rng.choice([None, draw(), rng.randint(-5, 5)]) for _ in range(n)]
+                ref = _diagonal([one if x is None else one * x for x in fs], zero)
+                assert mx.cscale(M, fs) == mx.mmul(M, ref)
+                assert mx.rscale(fs, M) == mx.mmul(ref, M)
+    # over Witt vectors only the None factors: their products are sequential sums
+    for n in (1, 2):
+        B = mx.mat(
+            [[WittVec("R", [random_series(rng, f, tag="R") for _ in range(f.L)]) for _ in range(n)]
+             for _ in range(n)]
+        )
+        ident = mx.identity(n, B[0][0].one())
+        assert mx.cscale(B, [None] * n) == mx.mmul(B, ident) == B
+        assert mx.rscale([None] * n, B) == mx.mmul(ident, B) == B
+
+
+def test_scalings_refuse_factor_lists_of_the_wrong_length():
+    f = ORACLE_FRAMES[0]
+    for M in (((1, 2), (3, 4)), mx.identity(2, f.one())):
+        for fs in ([None], [None, None, 3]):
+            with pytest.raises(ValueError):
+                mx.cscale(M, fs)
+            with pytest.raises(ValueError):
+                mx.rscale(fs, M)
+
+
 UNIT_FRAMES = [
     Frame.make(3, 0, 2, 2, 4, 3, 2, "u^2 + 3*u + 3"),
     Frame.make(3, 1, 1, 3, 4, 2, 2, "u + 3*(1 + t1)"),

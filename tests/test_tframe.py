@@ -21,10 +21,12 @@ from windowalg import matrices as mx
 from windowalg.rand import random_frame, random_series, random_window
 
 from helpers import (
+    c_matrix_T,
     frame313,
     frame_e2,
     iso_target,
     make_rng,
+    pc_inverse_T,
     random_solve_pair,
     solve_iso_reference,
     upper_q_matrix,
@@ -213,8 +215,6 @@ def test_solver_random_pairs_residual_zero():
 def test_solver_unique_fixed_point_oracle():
     # iterate y -> D + Psi(y) from a random start: the contraction
     # reaches the same X the closed sum produces
-    from windowalg.tframe import _c_matrix, _pc_inverse
-
     rng = make_rng(506)
     f = frame313()
     w1 = random_window(rng, f, d=1, c=1)
@@ -230,8 +230,8 @@ def test_solver_unique_fixed_point_oracle():
     G = mx.mmul(mx.inv(w2.A), w1.A)
     Gm = mx.msub(G, mx.identity(n, f.one()))
     Zm = mx.mmap(Gm, lambda x: f.elem({k[:-1] + (k[-1] - f.e,): v for k, v in x.coeffs.items()}))
-    CT = _c_matrix(f, level, 1, 1)
-    pCinv = _pc_inverse(f, level, 1, 1)
+    CT = c_matrix_T(f, level, 1, 1)
+    pCinv = pc_inverse_T(f, level, 1, 1)
     A2inv = mx.inv(emb(w2.A))
     D = mx.mmul(pCinv, mx.mmul(emb(Zm), CT))
     s = TElem.v(f, level, f.p - 1) * (f.p ** (f.p - 2))
@@ -267,8 +267,6 @@ def test_solver_determinism():
 
 def test_solver_sum_is_order_independent():
     # accumulating the iterate sum in shuffled order reproduces X
-    from windowalg.tframe import _c_matrix, _pc_inverse
-
     rng = make_rng(509)
     f = frame313()
     w1 = random_window(rng, f, d=1, c=1)
@@ -283,8 +281,8 @@ def test_solver_sum_is_order_independent():
     G = mx.mmul(mx.inv(w2.A), w1.A)
     Gm = mx.msub(G, mx.identity(2, f.one()))
     Zm = mx.mmap(Gm, lambda x: f.elem({k[:-1] + (k[-1] - f.e,): v for k, v in x.coeffs.items()}))
-    CT = _c_matrix(f, level, 1, 1)
-    pCinv = _pc_inverse(f, level, 1, 1)
+    CT = c_matrix_T(f, level, 1, 1)
+    pCinv = pc_inverse_T(f, level, 1, 1)
     A2inv = mx.inv(emb(w2.A))
     s = TElem.v(f, level, f.p - 1) * (f.p ** (f.p - 2))
 

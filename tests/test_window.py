@@ -35,6 +35,15 @@ def test_make_window_examples():
     assert mx.det(w3.A) == f.one()
 
 
+def test_phi_matrix_is_A_times_the_block_diagonal_C():
+    rng = make_rng(613)
+    for f in (frame313(), frame_e2()):
+        for d, c in ((0, 1), (0, 2), (1, 0), (2, 0), (1, 1), (2, 1), (1, 2)):
+            w = random_window(rng, f, d=d, c=c)
+            C = mx.diag([f.E] * d + [f.one()] * c)
+            assert mx.meq(w.phi_matrix(), mx.mmul(w.A, C))
+
+
 def test_make_window_rejects_bad_input():
     f = frame313()
     with pytest.raises(ValueError):
