@@ -44,7 +44,6 @@ shared values, one per field tuple in a bounded table (see Frame).
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from math import comb
 
 # Hard ceiling on a*e so level changes (lifting, rigidity at level a*p)
 # cannot silently explode table sizes; it also sizes the packed u-field.
@@ -598,19 +597,15 @@ class Frame:
     def _e_div_corrector(self):
         """g with g*E = p^a exactly in the level-a ring.
 
-        From p^a = (E - u^e)^a * eps^(-a) and u^(a*e) = 0 one gets
-        g = eps^(-a) * sum_{k>=1} C(a,k) E^(k-1) (-u^e)^(a-k).
+        E - u^e = p*eps and u^(a*e) = 0, so X^a - Y^a = (X - Y) *
+        sum_{k<a} X^k Y^(a-1-k) at X = E - u^e, Y = -u^e gives
+        g = eps^(-a) * sum_{k<a} (E - u^e)^k (-u^e)^(a-1-k), by Horner.
         """
         ring = self.ring("S")
-        E = self.E.packed
-        acc = ring.zero()
-        for k in range(1, self.a + 1):
-            term = ring.pow(E, k - 1)
-            upart = ring.norm({self.e * (self.a - k): (-1) ** (self.a - k)})
-            term = ring.mul(term, upart)
-            acc = ring.add(acc, ring.scal(term, comb(self.a, k)))
-        inv_pow = ring.pow(self.epsilon.invert().packed, self.a)
-        return ring.mul(acc, inv_pow)
+        tail, h = ring.norm(dict(self._E_tail)), ring.zero()
+        for j in range(self.a):
+            h = ring.add(ring.mul(h, tail), ring.norm({self.e * j: (-1) ** j}))
+        return ring.mul(h, ring.pow(self.epsilon.invert().packed, self.a))
 
 
 def _pi_sigma(frame, boost, f, q):

@@ -1,13 +1,15 @@
 """Truncated p-typical Witt vectors over the series-frame rings.
 
 Components live in the series ring "S", its E-quotient "R", or plain
-integers "Z".  Sums and products are the values of the universal Witt
-polynomials; they are computed by the exact ghost recursion on
-canonical lifts at a boosted coefficient modulus (one extra p-digit per
-Witt coordinate), which yields exactly the same values as substituting
-into the cached symbolic polynomials while staying cheap for large
-(p, L).  The symbolic table itself is available via witt_polys for
-inspection and cross-checks.
+integers "Z".  A vector holds one canonical kernel table per component:
+the constructor reduces integers mod p^pexp (exact when pexp is None)
+and refuses series components of another ring or frame, and comps
+turns the tables back into integers or SeriesElems.  Sums and products
+are the values of the universal Witt polynomials; they are computed by
+the exact ghost recursion on canonical lifts at a boosted coefficient
+modulus (one extra p-digit per Witt coordinate), which yields exactly
+the same values as substituting into the symbolic polynomials of
+witt_polys while staying cheap for large (p, L).
 
 A vector carries its ghost tables at the boosted modulus p^(M+L-1),
 M the exponent of its components: delta, kappa, tau and from_int
@@ -50,18 +52,14 @@ def _solve_ghost(ring, ghosts, p):
     return comps
 
 
-def _ghosts_of(ring, comps, length, p):
-    """w_0 .. w_{length-1} of the component tables."""
-    out = []
-    pw = []
-    for n in range(length):
-        for i in range(n):
-            pw[i] = ring.pow(pw[i], p)
-        if n < len(comps):
-            pw.append(dict(comps[n]))
+def _ghosts_of(ring, comps, p):
+    """w_0 .. w_{len(comps)-1} of the component tables."""
+    out, pw = [], []
+    for c in comps:
+        pw = [ring.pow(w, p) for w in pw] + [c]
         acc = ring.zero()
-        for i in range(min(n + 1, len(pw))):
-            acc = ring.add(acc, ring.scal(pw[i], p**i))
+        for i, w in enumerate(pw):
+            acc = ring.add(acc, ring.scal(w, p**i))
         out.append(acc)
     return out
 
@@ -87,37 +85,52 @@ def _ring_of(key, boost=0):
     return _zring(p, None if pexp is None else p ** (pexp + boost))
 
 
+def _vector(key, tables, ghosts=None):
+    """The vector with these canonical tables (and boosted ghosts), unchecked."""
+    out = WittVec.__new__(WittVec)
+    out.tag, out.frame, out.p, out.pexp = key
+    out._tables, out._ghosts = tables, ghosts
+    return out
+
+
 def _solved(key, ghosts):
     """The vector over the base key with these boosted ghost tables (of any length)."""
-    tag, frame, p, pexp = key
-    ring = _ring_of(key)
-    tables = [ring.norm(t) for t in _solve_ghost(_ring_of(key, len(ghosts) - 1), ghosts, p)]
-    if tag == "Z":
-        out = WittVec("Z", [t.get(0, 0) for t in tables], p=p, pexp=pexp)
-    else:
-        out = WittVec(tag, [SeriesElem(frame, tag, t) for t in tables], frame)
-    out._ghosts = ghosts
-    return out
+    tables = _solve_ghost(_ring_of(key, len(ghosts) - 1), ghosts, key[2])
+    return _vector(key, list(map(_ring_of(key).norm, tables)), ghosts)
 
 
 class WittVec:
     """Length-L Witt vector, L >= 1; tag is "S", "R" or "Z"."""
 
-    __slots__ = ("tag", "comps", "frame", "p", "pexp", "_ghosts")
+    __slots__ = ("tag", "frame", "p", "pexp", "_tables", "_ghosts")
 
     def __init__(self, tag, comps, frame=None, p=None, pexp=None):
-        self.comps = tuple(comps)
-        if not self.comps:
+        comps = tuple(comps)
+        if not comps:
             raise ValueError("Witt length must be >= 1")
         if tag in ("S", "R") and frame is None:
-            frame = self.comps[0].frame
-        self.tag, self.frame, self.p, self.pexp = _base(tag, frame, p, pexp)
-        self._ghosts = None
+            frame = getattr(comps[0], "frame", None)
+        key = _base(tag, frame, p, pexp)
+        if tag == "Z" and all(isinstance(c, int) for c in comps):
+            tables = [_ring_of(key).const(c) for c in comps]
+        elif tag != "Z" and all(type(c) is SeriesElem and c._key() == (tag, frame) for c in comps):
+            tables = [c.packed for c in comps]
+        else:
+            raise FrameMismatchError("Witt components outside the base ring")
+        self.tag, self.frame, self.p, self.pexp = key
+        self._tables, self._ghosts = tables, None
+
+    @property
+    def comps(self):
+        """The components: integers over Z, SeriesElems over S and R."""
+        if self.tag == "Z":
+            return tuple(t.get(0, 0) for t in self._tables)
+        return tuple(SeriesElem(self.frame, self.tag, t) for t in self._tables)
 
     # -- plumbing -----------------------------------------------------------
 
     def __len__(self):
-        return len(self.comps)
+        return len(self._tables)
 
     def _key(self):
         return self.tag, self.frame, self.p, self.pexp
@@ -125,29 +138,23 @@ class WittVec:
     def _compat(self, other):
         if self._key() != other._key():  # tuples test identity first
             raise FrameMismatchError("Witt operands over different base rings")
-        if len(self.comps) != len(other.comps):
+        if len(self) != len(other):
             raise FrameMismatchError("Witt operands of different lengths")
 
     def _ring(self, boost=0):
         return _ring_of(self._key(), boost)
 
-    def _tables(self):
-        if self.tag == "Z":
-            return [{0: c} if c else {} for c in self.comps]
-        return [c.packed for c in self.comps]
-
     def _ghost_tables(self):
         """Ghost tables at the boosted modulus, computed on first use
         unless the producer of the vector attached them."""
         if self._ghosts is None:
-            length = len(self.comps)
-            self._ghosts = _ghosts_of(self._ring(length - 1), self._tables(), length, self.p)
+            self._ghosts = _ghosts_of(self._ring(len(self) - 1), self._tables, self.p)
         return self._ghosts
 
     def __eq__(self, other):
         if not isinstance(other, WittVec):
             return NotImplemented
-        return self._key() == other._key() and self.comps == other.comps
+        return self._key() == other._key() and self._tables == other._tables
 
     __hash__ = None
 
@@ -160,41 +167,39 @@ class WittVec:
     # -- ring interface (for the matrix helpers) ----------------------------
 
     def zero(self):
-        return from_int(0, len(self.comps), like=self)
+        return from_int(0, len(self), like=self)
 
     def one(self):
-        return from_int(1, len(self.comps), like=self)
+        return from_int(1, len(self), like=self)
 
     def __add__(self, other):
         return wadd(self, other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return wmul(self, from_int(other, len(self.comps), like=self))
+            return wmul(self, from_int(other, len(self), like=self))
         return wmul(self, other)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        ring = self._ring(len(self.comps) - 1)
+        ring = self._ring(len(self) - 1)
         return _solved(self._key(), [ring.neg(g) for g in self._ghost_tables()])
 
     def __sub__(self, other):
         return wadd(self, -other)
 
     def is_zero(self):
-        return all(not t for t in self._tables())
+        return not any(self._tables)
 
     def is_unit(self):
         """Units are detected on the zeroth ghost coordinate."""
-        if self.tag == "Z":
-            return self.comps[0] % self.p != 0
-        return self.comps[0].is_unit()
+        return self._tables[0].get(0, 0) % self.p != 0
 
 
 def _binary(x, y, combine):
     x._compat(y)
-    ring = x._ring(len(x.comps) - 1)
+    ring = x._ring(len(x) - 1)
     ghosts = zip(x._ghost_tables(), y._ghost_tables())
     return _solved(x._key(), [combine(ring, a, b) for a, b in ghosts])
 
@@ -209,15 +214,12 @@ def wmul(x, y):
 
 def wver(x):
     """Verschiebung: shift components right; ghost (0, p*w_0, p*w_1, ...)."""
-    if x.tag == "Z":
-        return WittVec("Z", (0,) + x.comps, p=x.p, pexp=x.pexp)
-    zero = x.frame.zero(x.tag)
-    return WittVec(x.tag, (zero,) + x.comps, frame=x.frame)
+    return _vector(x._key(), [{}] + x._tables)
 
 
 def wfrob(x):
     """Frobenius: ghost components (w_1, w_2, ...); output length L-1."""
-    length = len(x.comps)
+    length = len(x)
     if length < 2:
         raise ValueError("Frobenius needs length >= 2")
     ring = x._ring(length - 2)
@@ -227,10 +229,7 @@ def wfrob(x):
 def ghost(x):
     """All ghost components w_n(x) in the component ring."""
     ring = x._ring()
-    out = [ring.norm(g) for g in x._ghost_tables()]
-    if x.tag == "Z":
-        return [t.get(0, 0) for t in out]
-    return [SeriesElem(x.frame, x.tag, t) for t in out]
+    return list(_vector(x._key(), [ring.norm(g) for g in x._ghost_tables()]).comps)
 
 
 def from_int(n, length, like=None, frame=None, tag="S", p=None, pexp=None):
@@ -263,16 +262,17 @@ def delta(x, length=None):
 def kappa(x, length=None):
     """Component-wise reduction of delta(x) into W(R/p^aR).
 
-    It carries the ghosts pi(sigma^n(x)) from series._pi_sigma, the fold
-    routine of reduce_mod_E; they agree with those of its components mod
-    p^(M+n), M = min(a, N), because the quotient by E has no p-torsion
-    and u^(a*e) lies in (E, p^M).  delta checks x and the length.
+    Its components, and the ghosts pi(sigma^n(x)) it carries, come from
+    series._pi_sigma, the fold routine of reduce_mod_E.  Those ghosts
+    agree with the ghosts of its components mod p^(M+n), M = min(a, N),
+    because the quotient by E has no p-torsion and u^(a*e) lies in
+    (E, p^M).  delta checks x and the length.
     """
     dv = delta(x, length)
-    frame, length = x.frame, len(dv.comps)
-    out = WittVec("R", [c.reduce_mod_E() for c in dv.comps], frame=frame)
-    out._ghosts = [_pi_sigma(frame, length - 1, x.packed, frame.p**n) for n in range(length)]
-    return out
+    frame, length = x.frame, len(dv)
+    tables = [_pi_sigma(frame, 0, t, 1) for t in dv._tables]
+    ghosts = [_pi_sigma(frame, length - 1, x.packed, frame.p**n) for n in range(length)]
+    return _vector(("R", frame, frame.p, None), tables, ghosts)
 
 
 def tau(frame):
@@ -323,8 +323,8 @@ class WittPolyTable:
         ring = self._ring = _Kernel(_Layout(2 * length, top), p, top, 1, None)
         lay = ring.layout
         vs = [{lay.pack((0,) * i + (1,) + (0,) * (2 * length - i)): 1} for i in range(2 * length)]
-        gx = _ghosts_of(ring, vs[:length], length, p)
-        gy = _ghosts_of(ring, vs[length:], length, p)
+        gx = _ghosts_of(ring, vs[:length], p)
+        gy = _ghosts_of(ring, vs[length:], p)
         sums = _solve_ghost(ring, [ring.add(a, b) for a, b in zip(gx, gy)], p)
         prods = _solve_ghost(ring, [ring.mul(a, b) for a, b in zip(gx, gy)], p)
         self.sum_polys = tuple(map(lay.unpack_table, sums))

@@ -50,12 +50,11 @@ def test_universal_polys_ghost_identity(p, length):
     tbl = witt_polys(p, length)
     ring = tbl._ring
 
-    gs = _ghosts_of(ring, [ring.pack(t) for t in tbl.sum_polys], length, p)
-    gp = _ghosts_of(ring, [ring.pack(t) for t in tbl.prod_polys], length, p)
+    gs = _ghosts_of(ring, [ring.pack(t) for t in tbl.sum_polys], p)
+    gp = _ghosts_of(ring, [ring.pack(t) for t in tbl.prod_polys], p)
     gx = _ghosts_of(
         ring,
         [ring.pack({tuple(1 if k == i else 0 for k in range(2 * length + 1)): 1}) for i in range(length)],
-        length,
         p,
     )
     gy = _ghosts_of(
@@ -64,7 +63,6 @@ def test_universal_polys_ghost_identity(p, length):
             ring.pack({tuple(1 if k == length + i else 0 for k in range(2 * length + 1)): 1})
             for i in range(length)
         ],
-        length,
         p,
     )
     for n in range(length):
@@ -98,9 +96,109 @@ def test_arithmetic_matches_symbolic_table():
             assert wmul(x, y).comps[n] == expect.get(0, 0)
 
 
+def _sympy_witt_polys(p, length):
+    """The Witt sum and product solved from the ghost identity over QQ:
+    w_n(S) = w_n(x) + w_n(y) and w_n(P) = w_n(x) * w_n(y), in sympy."""
+    from sympy import QQ, Poly, Rational, symbols
+
+    gens = symbols("x0:%d y0:%d" % (length, length))
+    var = [Poly(g, *gens, domain=QQ) for g in gens]
+
+    def ghosts(vs):  # w_n = sum_i p^i v_i^(p^(n-i))
+        return [sum((p**i * vs[i] ** p ** (n - i) for i in range(1, n + 1)), vs[0] ** p**n)
+                for n in range(length)]
+
+    def solve(ws):
+        out = []
+        for n, w in enumerate(ws):
+            for i, c in enumerate(out):
+                w = w - c ** p ** (n - i) * p**i
+            out.append(w * Rational(1, p**n))
+        return out
+
+    gx, gy = ghosts(var[:length]), ghosts(var[length:])
+    return solve([a + b for a, b in zip(gx, gy)]), solve([a * b for a, b in zip(gx, gy)])
+
+
+def _integer_table(poly):
+    """The polynomial keyed as witt_polys keys it; every coefficient must be an integer."""
+    terms = poly.as_dict()
+    assert all(c.is_Integer for c in terms.values())
+    return {k + (0,): int(c) for k, c in terms.items()}
+
+
+def _evaluate(table, xs, ys):
+    """Substitute the components xs, ys (ints or series elements) into a table."""
+    total = 0
+    for key, c in table.items():
+        for v, e in zip(list(xs) + list(ys), key):
+            if e:
+                c = c * v**e
+        total = total + c
+    return total
+
+
+@pytest.mark.parametrize("p,length", [(3, 2), (3, 3), (5, 2), (5, 3)])
+def test_witt_polys_and_arithmetic_agree_with_a_sympy_ghost_solve(p, length):
+    # an oracle independent of _ghosts_of and _solve_ghost: the universal
+    # polynomials are integral, equal witt_polys term by term, and their
+    # values are wadd and wmul over exact Z and over S and R of a desk frame (e = 2)
+    sums, prods = _sympy_witt_polys(p, length)
+    tbl = witt_polys(p, length)
+    assert [_integer_table(s) for s in sums] == list(tbl.sum_polys)
+    assert [_integer_table(q) for q in prods] == list(tbl.prod_polys)
+    rng = make_rng(215)
+    f = Frame.make(p, 1, 2, 2, 4, 3, length, "u^2 + %d*t1*u + %d" % (p, p))
+    for tag in ("Z", "S", "R"):
+        for _ in range(5):
+            if tag == "Z":
+                xs, ys = ([rng.randint(-99, 99) for _ in range(length)] for _ in range(2))
+                x, y = zvec(p, xs), zvec(p, ys)
+            else:
+                xs, ys = ([random_series(rng, f, terms=3) for _ in range(length)] for _ in range(2))
+                if tag == "R":
+                    xs, ys = ([c.reduce_mod_E() for c in v] for v in (xs, ys))
+                x, y = WittVec(tag, xs, frame=f), WittVec(tag, ys, frame=f)
+            s, m = wadd(x, y).comps, wmul(x, y).comps
+            for n in range(length):
+                assert s[n] == _evaluate(tbl.sum_polys[n], xs, ys)
+                assert m[n] == _evaluate(tbl.prod_polys[n], xs, ys)
+
+
 def test_wadd_example():
     x = zvec(3, [1, 0])
     assert wadd(x, x).comps == (2, -2)
+
+
+def test_integer_components_are_reduced_mod_p_to_the_pexp():
+    # W_2(Z/9): (10, 0) is (1, 0) and (-1, 0) is (8, 0), before any arithmetic
+    x = WittVec("Z", [10, 0], p=3, pexp=2)
+    assert x.comps == (1, 0) and str(x) == "(1, 0)"
+    assert x == wadd(x, from_int(0, 2, like=x)) == x + x.zero()
+    y = WittVec("Z", [-1, 0], p=3, pexp=2)
+    assert y.comps == (8, 0) and y == wadd(y, from_int(0, 2, like=y))
+    assert zvec(3, [10, -1]).comps == (10, -1)  # exact integers stay as they are
+
+
+def test_components_of_another_ring_or_frame_are_refused():
+    from windowalg import FrameMismatchError
+
+    f = Frame.make(3, 0, 1, 3, 5, 3, 2, "u + 3")
+    g = Frame.make(5, 0, 1, 3, 5, 3, 2, "u + 5")
+    refused = [
+        ("R", [f.series("1 + u^2"), f.zero()], {"frame": f}),  # S elements in an R vector
+        ("S", [f.one(), g.one()], {}),  # a second frame
+        ("S", [f.one(), f.one()], {"frame": g}),
+        ("S", [f.one(), f.one("R")], {}),
+        ("R", [f.one("R"), 1], {}),
+        ("Z", [1, f.one()], {"p": 3}),
+        ("Z", [1, 0.5], {"p": 3}),
+    ]
+    for tag, comps, kw in refused:
+        with pytest.raises(FrameMismatchError):
+            WittVec(tag, comps, **kw)
+    x = WittVec("R", [f.series("1 + u^2", "R"), f.zero("R")], frame=f)
+    assert x * from_int(1, 2, like=x) == x
 
 
 def test_teichmueller_identity():
@@ -370,7 +468,7 @@ def test_carried_ghosts_give_the_values_of_rebuilt_copies(pair):
 def _assert_ghosts_agree(v, frame):
     """Carried ghost n equals the recomputed one modulo p^(M+n)."""
     length = len(v.comps)
-    fresh = _ghosts_of(v._ring(length - 1), v._tables(), length, v.p)
+    fresh = _ghosts_of(v._ring(length - 1), v._tables, v.p)
     for n, (carried, recomputed) in enumerate(zip(v._ghost_tables(), fresh)):
         ring = frame.ring("R", n)
         assert ring.norm(carried) == ring.norm(recomputed)
