@@ -137,7 +137,8 @@ class _Kernel:
     ends each band: only pairs inside both caps are formed.  dot runs umul
     on each pair into one table, then normalizes it, or divides it by E
     in the quotient ring, once; mul is dot of one pair.  sqr is the same
-    loop over the unordered pairs of one table, which pow uses.
+    loop over the unordered pairs of one table, which pow uses.  divide
+    forms a quotient by a unit term by term in rising key, without inverses.
     """
 
     __slots__ = ("p", "layout", "tdeg", "ucap", "pmod", "e", "tail", "tbound", "ulim")
@@ -393,6 +394,38 @@ class _Kernel:
             raise ValueError("u-shift by %d leaves the u-field" % d)
         return {k + d: c for k, c in f.items()}
 
+    def divide(self, f, g, e=None):
+        """q with q*g = f for a unit g, in rising packed key: keys add under
+        products, so q_k = (f_k - sum q_k1*g_k2 over k1 + k2 = k, k2 > 0)/g_0
+        needs only smaller keys, taken from a heap of pending ones.  Pairs are
+        kept inside both caps; with e set (the T ring) a pair whose u-degrees
+        mod e sum to e or more gains the factor p."""
+        from heapq import heappop, heappush  # not on the import path of every command
+
+        p, m, tb, um, ul = self.p, self.pmod, self.tbound, self.layout.umask, self.ulim
+        if g.get(0, 0) % p == 0:
+            raise ZeroDivisionError("not a unit: constant term divisible by p")
+        inv, gb = pow(g[0], -1, m), self.bands({k: c for k, c in g.items() if k})
+        acc, q, heap = dict(f), {}, sorted(f)
+        while heap:
+            k1 = heappop(heap)
+            if not (c1 := acc.pop(k1) * inv % m):
+                continue
+            q[k1] = c1
+            lim, u1 = tb - k1, k1 & um
+            for u2, band in gb:
+                if u2 >= ul - u1:
+                    break
+                cn = -c1 * p if e and u1 % e + u2 % e >= e else -c1
+                for k2, c2 in band:
+                    if k2 >= lim:
+                        break
+                    if (k := k1 + k2) not in acc:
+                        acc[k] = 0
+                        heappush(heap, k)
+                    acc[k] += cn * c2
+        return q
+
     def div_exact_ppow(self, f, k):
         """Divide by p^k; every coefficient must be divisible.
 
@@ -411,26 +444,6 @@ class _Kernel:
             if cq:
                 out[key] = cq
         return out
-
-
-def newton_inverse(x):
-    """Inverse of a unit x of the S, R or T ring by Newton iteration.
-
-    The start value inverts the constant term mod p^N; the error
-    1 - x*y then lies in the augmentation ideal, which is nilpotent
-    under the degree caps, and each step squares it.
-    """
-    c = x.constant_term()
-    if c % x.frame.p == 0:
-        raise ZeroDivisionError("not a unit: constant term divisible by p")
-    one = x.one()
-    y = one * pow(c, -1, x.frame.p**x.frame.N)
-    for _ in range(64):
-        err = one - x * y
-        if err.is_zero():
-            return y
-        y = y + y * err
-    raise PrecisionError("unit inversion did not terminate")
 
 
 _FIELDS = ("p", "r", "e", "a", "N", "D", "L", "E_items")
@@ -605,7 +618,7 @@ class Frame:
         tail, h = ring.norm(dict(self._E_tail)), ring.zero()
         for j in range(self.a):
             h = ring.add(ring.mul(h, tail), ring.norm({self.e * j: (-1) ** j}))
-        return ring.mul(h, ring.pow(self.epsilon.invert().packed, self.a))
+        return ring.divide(h, ring.pow(self.epsilon.packed, self.a))
 
 
 def _pi_sigma(frame, boost, f, q):
@@ -751,7 +764,13 @@ class SeriesElem(_Elem):
         return self._wrap(self._ring().pow(self.packed, n))
 
     def invert(self):
-        return newton_inverse(self)
+        return self.one().divide(self)
+
+    def divide(self, d):
+        """q with q*d == self for a unit d: over R the S lifts are divided and q is
+        reduced, as S_a -> R is a ring map (u^(ae) = (-p*eps)^a mod E)."""
+        f = self.frame
+        return f._tagged(f.ring("S").divide(self.packed, self._lift(d).packed), self.tag)
 
     # -- frame maps --------------------------------------------------------
 

@@ -14,14 +14,16 @@ Y is needed only mod v^(a-1); there it sums the iterates of Psi(Y) =
 pC^(-1)*A2^(-1)*sigma(Y)*s*A1*C, s = p^(p-2) v^(p-1), on D = pC^(-1)*Z*C
 up to the first zero one: Psi is linear and takes v-valuation m to at
 least p*m + p - 1, so iterate k vanishes mod v^(a-1) once p^k > a - 1;
-a nonzero iterate past that bound is a PrecisionError, not a hang.
+a nonzero iterate past that bound is a PrecisionError, not a hang.  No
+dense inverse enters a product: A2^(-1)*M is det(A2)^(-1)*(adj(A2)*M), and
+pC^(-1) divides rows by the sparse v + eps (TElem.divide) or scales them by p.
 """
 
 from __future__ import annotations
 
 from . import matrices as mx
 from .series import FrameMismatchError, PrecisionError, SeriesElem, _Elem
-from .series import newton_inverse, validate_frame
+from .series import validate_frame
 
 
 class HypothesisError(ValueError):
@@ -180,7 +182,11 @@ class TElem(_Elem):
         return self._prep
 
     def invert(self):
-        return newton_inverse(self)
+        return self.one().divide(self)
+
+    def divide(self, d):
+        """q with q*d == self for a unit d; a pair of terms wrapping past u^e gains p."""
+        return self._wrap(self._ring().divide(self.packed, self._lift(d).packed, self.frame.e))
 
     def sigma(self):
         """sigma on coefficients plus v -> p^(p-1) v^p: the S-ring sigma
@@ -271,8 +277,9 @@ def solve_iso(w1, w2, level=None):
     The windows must share a valid frame and their shape, and A1 - A2 must lie
     in u^e*S (A2 is invertible: A2^(-1)*A1 = I + u^e*Z), checked before any
     inverse.  T_level -> T_lv, lv = max(level - 1, 1), is a ring map commuting
-    with sigma and vY needs Y only mod v^lv, so A2^(-1), Z and the Psi sum run
-    at lv and vY is a u-shift by e.  The full-level residual of X must be zero.
+    with sigma and vY needs Y only mod v^lv, so adj(A2), det(A2)^(-1), Z and the
+    Psi sum run at lv (A2^(-1)*M is det^(-1)*(adj*M), pC^(-1) a row division by
+    v + eps) and vY is a u-shift by e.  The full-level residual of X must be zero.
     """
     if w1.frame != w2.frame:
         raise FrameMismatchError("windows over different frames")
@@ -299,20 +306,23 @@ def solve_iso(w1, w2, level=None):
     except ValueError:
         raise HypothesisError("A2^(-1)*A1 is not congruent to I modulo u^e") from None
 
-    A2_inv = mx.inv(clip(w2.A))
-    # pC^(-1) = blockdiag((v+eps)^(-1) I_d, p I_c), as E = p(v+eps)
-    C = _c_factors(low, lv, d, c)
+    # adj(A2) into each product first, det(A2)^(-1) into its n^2 entries last; pC^(-1) =
+    # blockdiag((v+eps)^(-1) I_d, p I_c) (E = p(v+eps)) divides rows i < d, scales the rest
+    adj = mx.adjugate(A2 := clip(w2.A))
+    dinv = mx.dot(A2[0], [row[0] for row in adj]).invert()
     veps = TElem.v(low, lv) + TElem.embed(low.epsilon, lv)
-    pCinv = [veps.invert()] * d + [frame.p] * c
-    # formed once; embedding is a ring map, so it carries A2^(-1) to T
+    pcinv = lambda M: tuple(
+        tuple(x.divide(veps) if i < d else x * frame.p for x in row) for i, row in enumerate(M)
+    )
+    adjT, dinvT, C = emb(adj), TElem.embed(dinv, lv), _c_factors(low, lv, d, c)
     A1C = mx.cscale(emb(clip(w1.A)), C)
-    PA = mx.rscale(pCinv, emb(A2_inv))
 
-    D = mx.rscale(pCinv, mx.cscale(emb(mx.mmul(A2_inv, W)), C))
+    D = pcinv(mx.cscale(emb(mx.mscal(mx.mmul(adj, W), dinv)), C))
     # v * u^(e(p-2)) = p^(p-2) * v^(p-1); on sigma(Y) first, whose terms then sit at
     # u-degree (p-1)e or more, so the u-cap ends their rows against A1C early
     s = TElem.v(low, lv, frame.p - 1) * pow(frame.p, frame.p - 2, frame.p**frame.N)
-    psi = lambda Y: mx.mmul(PA, mx.mmul(mx.mmap(Y, lambda x: x.sigma() * s), A1C))
+    sY = lambda Y: mx.mmap(Y, lambda x: x.sigma() * s)
+    psi = lambda Y: pcinv(mx.mscal(mx.mmul(adjT, mx.mmul(sY(Y), A1C)), dinvT))
 
     # iterate k has v-valuation >= p^k - 1, so it vanishes mod v^lv once p^k > lv
     Y, term, k = D, psi(D), 1

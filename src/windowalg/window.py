@@ -109,11 +109,10 @@ def normal_decompose(frame, M):
         if pivot is None:
             break
         i, j = pivot
-        inv = cols[j][i].invert()
         for j2 in remaining:
             if j2 == j:
                 continue
-            lam = cols[j2][i] * inv
+            lam = cols[j2][i].divide(cols[j][i])
             cols[j2] = [a - lam * b for a, b in zip(cols[j2], cols[j])]
             ucols[j2] = [a - lam * b for a, b in zip(ucols[j2], ucols[j])]
         used_rows.add(i)

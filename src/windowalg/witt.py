@@ -65,10 +65,12 @@ def _ghosts_of(ring, comps, p):
 
 
 def _base(tag, frame, p, pexp):
-    """(tag, frame, p, pexp) naming a Witt base ring; refuses an incomplete one."""
+    """(tag, frame, p, pexp) naming a Witt base ring; refuses an incomplete or inconsistent one."""
     if tag in ("S", "R"):
         if frame is None:
             raise ValueError("S- and R-tagged Witt vectors need a frame")
+        if p not in (None, frame.p) or pexp is not None:
+            raise ValueError("S and R vectors take p from the frame and no pexp")
         return tag, frame, frame.p, None
     if tag == "Z":
         if p is None:

@@ -243,11 +243,39 @@ def c_matrix_T(frame, level, d, c):
     return mx.diag([TElem.embed(frame.E, level)] * d + [TElem.const(frame, level, 1)] * c)
 
 
+def newton_inverse(x):
+    """Inverse of a unit x of the S, R or T ring by Newton iteration, a
+    reference independent of the kernel's unit division.
+
+    The start value inverts the constant term mod p^N; the error
+    1 - x*y then lies in the augmentation ideal, which is nilpotent
+    under the degree caps, and each step squares it.
+    """
+    c = x.constant_term()
+    if c % x.frame.p == 0:
+        raise ZeroDivisionError("not a unit: constant term divisible by p")
+    one = x.one()
+    y = one * pow(c, -1, x.frame.p**x.frame.N)
+    for _ in range(64):
+        err = one - x * y
+        if err.is_zero():
+            return y
+        y = y + y * err
+    raise AssertionError("Newton iteration did not terminate")
+
+
+def newton_matrix_inverse(M):
+    """M^(-1) = adj(M) * det(M)^(-1), the determinant inverted by newton_inverse."""
+    adj = mx.adjugate(M)
+    dinv = newton_inverse(mx.dot(M[0], [row[0] for row in adj]))
+    return mx.mscal(adj, dinv)
+
+
 def pc_inverse_T(frame, level, d, c):
     """p*C^(-1) = blockdiag((v+eps)^(-1)*I_d, p*I_c) over T_level, E = p(v+eps),
     as an explicit diagonal matrix."""
     veps = TElem.v(frame, level) + TElem.embed(frame.epsilon, level)
-    return mx.diag([veps.invert()] * d + [TElem.const(frame, level, frame.p)] * c)
+    return mx.diag([newton_inverse(veps)] * d + [TElem.const(frame, level, frame.p)] * c)
 
 
 def solve_iso_reference(w1, w2, level):
@@ -255,7 +283,7 @@ def solve_iso_reference(w1, w2, level):
     loop: Psi(Y) = (pC^(-1) * A2^(-1) * sigma(Y) * A1 * C) * s, s = p^(p-2) v^(p-1)."""
     frame, n, d, c = w1.frame, w1.height, w1.d, w1.c
     emb = lambda M: mx.mmap(M, lambda x: TElem.embed(x, level))
-    A2_inv = mx.inv(w2.A)
+    A2_inv = newton_matrix_inverse(w2.A)
     Gm = mx.msub(mx.mmul(A2_inv, w1.A), mx.identity(n, frame.one()))
     shift = lambda x: frame.elem({k[:-1] + (k[-1] - frame.e,): v for k, v in x.coeffs.items()})
     CT = c_matrix_T(frame, level, d, c)

@@ -10,6 +10,8 @@ on every ring that has elements) are checked against sequential sums.
 """
 
 import re
+import subprocess
+import sys
 from functools import lru_cache
 from itertools import product
 
@@ -23,7 +25,7 @@ from windowalg.blocks import ParseError, parse_poly
 from windowalg.series import MAX_UCAP, SeriesElem, _Kernel, _Layout
 from windowalg.witt import _zring
 
-from helpers import divmod_oracle, mul_oracle, reduce_oracle
+from helpers import divmod_oracle, mul_oracle, newton_inverse, reduce_oracle
 
 FRAMES = {
     "r0": Frame.make(3, 0, 2, 3, 5, 4, 2, "u^2 + 3*u + 3"),
@@ -516,6 +518,69 @@ def test_inverse_of_a_unit_is_a_two_sided_inverse(x):
     y = x.invert()
     assert y * x == x.one()
     assert x * y == x.one()
+
+
+@PROPS
+@given(units())
+def test_inverse_is_the_newton_reference(x):
+    assert x.invert() == newton_inverse(x)
+
+
+@st.composite
+def quotients(draw):
+    """(x, d), d a unit: of S or R on a kernel frame, or of T at any level
+    of the e = 2 frames, where the u-degrees of a product wrap past u^e."""
+    name = draw(st.sampled_from(sorted(FRAMES)))
+    f = FRAMES[name]
+    ring = draw(st.sampled_from(["S", "R"] if name == "r1-max-ucap" else ["S", "R", "T"]))
+    if ring == "T":
+        level = draw(st.integers(1, f.a))
+        x, d = (TElem(f, level, [draw(tables(f, umax=f.e)) for _ in range(level)]) for _ in "xd")
+    else:
+        x, d = (f.elem(draw(tables(f)), ring) for _ in "xd")
+    return x, _unit_of(draw, d)
+
+
+@PROPS
+@given(quotients())
+def test_quotient_times_the_divisor_is_the_dividend(case):
+    x, d = case
+    q = x.divide(d)
+    assert q * d == x
+    assert d * q == x
+
+
+def test_division_by_a_non_unit_is_refused():
+    for f in FRAMES.values():
+        level = min(f.a, 3)
+        for d in (f.zero(), f.const(3) + f.u(), f.const(3, "R"), TElem.v(f, level) * 5):
+            for x in (d.one(), d.zero()):
+                with pytest.raises(ZeroDivisionError):
+                    x.divide(d)
+            with pytest.raises(ZeroDivisionError):
+                d.invert()
+
+
+def test_inverse_of_sixty_terms_at_the_largest_u_cap_is_fast():
+    # by Newton iteration, whose steps multiply tables that fill the ring, this
+    # inverse took about 40 s; division by rising degree forms each term once
+    code = """
+import random
+from windowalg import Frame
+from windowalg.series import MAX_UCAP
+f = Frame.make(3, 1, 1, MAX_UCAP, 3, 2, 2, "u + 3")
+rng = random.Random(1)
+table = {(0, 0): 1}
+while len(table) < 60:
+    table[(rng.randint(0, 2), rng.randint(1, 40))] = rng.randint(1, 26)
+x = f.elem(table)
+y = x.invert()
+assert y * x == f.one()
+print(len(y.packed))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=2)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 10000  # the inverse is dense
 
 
 @PROPS

@@ -449,12 +449,12 @@ def test_solver_inverts_A2_one_v_level_down(monkeypatch):
     # on entries clipped to that level (level 1 keeps level 1)
     from windowalg import tframe
 
-    inv = tframe.mx.inv
+    adjugate = tframe.mx.adjugate
     f = frame_e2(a=4, N=6)
     w1, w2 = random_solve_pair(make_rng(530), f, 1, 1)
     for level in range(1, f.a + 1):
         seen = []
-        monkeypatch.setattr(tframe.mx, "inv", lambda M: seen.append(M) or inv(M))
+        monkeypatch.setattr(tframe.mx, "adjugate", lambda M: seen.append(M) or adjugate(M))
         X = solve_iso(w1, w2, level)
         monkeypatch.undo()
         assert len(seen) == 1
@@ -470,10 +470,41 @@ def test_solver_hypothesis_is_checked_before_inverting(monkeypatch):
     # A2 = A1 + 3I: A1 - A2 is not in u^e * S
     w2 = make_window(f, 1, 1, mx.madd(w1.A, mx.identity(2, f.const(3))))
     calls = []
-    monkeypatch.setattr(tframe.mx, "inv", lambda M: calls.append(M))
+    monkeypatch.setattr(tframe.mx, "adjugate", lambda M: calls.append(M))
     with pytest.raises(HypothesisError, match="not congruent to I modulo u"):
         solve_iso(w1, w2)
     assert calls == []
+
+
+def test_solver_rows_are_exact_whatever_the_top_digit_of_epsilon(monkeypatch):
+    # eps = (E - u^e)/p is known only mod p^(N-1), and the solver divides rows
+    # i < d by v + eps.  On frames where eps's top p-digit is a choice (E = u + 30
+    # at N = 3 is u + 3, with eps = 1 against 30/3 = 10), X has zero residual and
+    # is the reference X.  With that digit moved on every level frame, rows
+    # i >= d stay as they are and rows i < d move by multiples of p^(N-1) only:
+    # E*p^(N-1) = 0, so A2*C*X = sigma(X)*A1*C fixes those rows mod p^(N-1).
+    frames = [
+        Frame.make(3, 0, 1, 3, 3, 2, 2, "u + 30"),
+        Frame.make(3, 0, 1, 3, 4, 2, 2, "u + 30"),
+        Frame.make(3, 1, 2, 3, 3, 2, 2, "u^2 + 3*t1*u + 30*(1 + t1)"),
+    ]
+    for f in frames:
+        top = f.p ** (f.N - 1)
+        for d, c in ((1, 0), (1, 1), (2, 0), (1, 2)):
+            for seed in (0, 1):
+                w1, w2 = random_solve_pair(make_rng(seed), f, d, c)
+                for level in range(1, f.a + 1):
+                    X = solve_iso(w1, w2, level)
+                    assert mx.is_zero(residual(w1, w2, X, level))
+                    assert mx.meq(X, solve_iso_reference(w1, w2, level))
+                    with monkeypatch.context() as m:
+                        for g in {f.at_level(k) for k in range(1, f.a + 1)}:
+                            m.setitem(g.__dict__, "epsilon", g.epsilon + top)
+                        moved = solve_iso(w1, w2, level)
+                    for i in range(d + c):
+                        for x, y in zip(X[i], moved[i]):
+                            diff = (x - y).packed.values()
+                            assert not diff if i >= d else all(v % top == 0 for v in diff)
 
 
 def test_solver_at_level_one_is_the_identity():

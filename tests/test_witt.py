@@ -201,6 +201,24 @@ def test_components_of_another_ring_or_frame_are_refused():
     assert x * from_int(1, 2, like=x) == x
 
 
+def test_an_explicit_p_or_pexp_must_agree_with_the_frame():
+    # S and R vectors take p from their frame and have no pexp: a p = 5 vector
+    # over a p = 3 frame was once built as a p = 3 one, and from_int with
+    # p = 5 printed (2, 25)
+    f = Frame.make(3, 0, 1, 3, 5, 3, 2, "u + 3")
+    for tag in ("S", "R"):
+        comps = [f.one(tag), f.zero(tag)]
+        for kw in ({"p": 5}, {"pexp": 1}, {"p": 3, "pexp": 2}):
+            with pytest.raises(ValueError, match="take p from the frame"):
+                WittVec(tag, comps, frame=f, **kw)
+            with pytest.raises(ValueError, match="take p from the frame"):
+                WittVec(tag, comps, **kw)
+            with pytest.raises(ValueError, match="take p from the frame"):
+                from_int(2, 2, frame=f, tag=tag, **kw)
+        assert WittVec(tag, comps, frame=f, p=3) == WittVec(tag, comps, frame=f)
+        assert from_int(2, 2, frame=f, tag=tag, p=3) == from_int(2, 2, frame=f, tag=tag)
+
+
 def test_teichmueller_identity():
     rng = make_rng(202)
     for _ in range(10):
