@@ -161,6 +161,25 @@ row = 3, 0, 0
 row = 0, 3, 0
 """
 
+# at a = 1, N = 2 the frame's E is 3 and E^2 = 9 = 0
+VANISHING_STRUCTURE_MODULE_JOB = FRAME.replace("a = 3\nN = 6", "a = 1\nN = 2") + """
+[window]
+d = 2
+c = 0
+row = 1, 0
+row = 0, 1
+
+[window]
+d = 2
+c = 0
+row = 1, 0
+row = 0, 1
+
+[matrix]
+row = 3, 0
+row = 0, 1
+"""
+
 
 def test_low_precision_display_is_valid(capsys, tmp_path):
     # component 1 of p*B is known only mod p^(N-1); it once read invalid here
@@ -180,6 +199,18 @@ def test_module_of_windows_of_different_heights_is_one_error_line(capsys, tmp_pa
     path = write(tmp_path, "m.txt", UNEQUAL_HEIGHTS_MODULE_JOB)
     code, out = run_cli(capsys, ["module", path, "--machine"])
     assert (code, out) == (1, "error = window heights differ\n")
+
+
+def test_module_whose_structural_determinants_vanish(capsys, tmp_path):
+    path = write(tmp_path, "m.txt", VANISHING_STRUCTURE_MODULE_JOB)
+    code, out = run_cli(capsys, ["module", path, "--machine"])
+    assert code == 1
+    assert out == (
+        "m = 1\np_length = 1\norder = 3^1\n"
+        "error = source structural determinant vanishes\n"
+        "error = target structural determinant vanishes\n"
+        "module = invalid\n"
+    )
 
 
 def test_output_is_deterministic(capsys, tmp_path):

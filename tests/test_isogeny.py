@@ -11,13 +11,24 @@ from windowalg import (
     validate_breuil_module,
 )
 from windowalg import matrices as mx
+from windowalg.isogeny import IsogenyModule
 from windowalg.rand import random_window
+from windowalg.window import Window
 
 from helpers import diag_p_isogeny, frame313, frame_e2, make_rng, random_isogeny, upper_window
 
 
 def scalar_matrix(frame, n, value):
     return mx.mscal(mx.identity(n, frame.one()), frame.const(value))
+
+
+def assert_composite_matches_make_module(comp, outer, inner):
+    # make_module on the product is the oracle: m and p^m * det_unit are exact
+    # (det_unit alone is known only mod p^(N-m))
+    fresh = make_module(inner.source, outer.target, mx.mmul(outer.U, inner.U))
+    p = comp.frame.p
+    assert comp.m == fresh.m == outer.m + inner.m
+    assert comp.det_unit * p**comp.m == fresh.det_unit * p**fresh.m
 
 
 def test_identity_is_the_zero_module():
@@ -127,6 +138,8 @@ def test_accepts_unit_times_p():
     mod = compose(scal, iso)
     assert p_length(mod) == 2
     assert mod.det_unit.is_unit()
+    assert_composite_matches_make_module(mod, scal, iso)
+    assert validate_breuil_module(mod) == []
 
 
 def test_insufficient_precision_rejected():
@@ -153,6 +166,8 @@ def test_p_length_additive_on_compositions():
         scal = make_module(tgt1, tgt1, scalar_matrix(f, 2, 3))
         comp = compose(scal, mod1)
         assert p_length(comp) == p_length(mod1) + 2
+        assert_composite_matches_make_module(comp, scal, mod1)
+        assert validate_breuil_module(comp) == []
 
 
 def test_adjugate_annihilation_exact():
@@ -174,8 +189,6 @@ def test_validate_reports_rank_mismatch():
     w1 = random_window(rng, f, d=2, c=0)
     w2 = random_window(rng, f, d=1, c=1)
     # force a module past the constructor to exercise the report
-    from windowalg.isogeny import IsogenyModule
-
     fake = IsogenyModule(w1, w2, mx.identity(2, f.one()), 0, f.one())
     report = validate_breuil_module(fake)
     assert "rank bookkeeping violated: d' != d" in report
@@ -196,8 +209,6 @@ def test_windows_of_different_heights_are_refused_before_any_determinant(monkeyp
         with pytest.raises(IsogenyError, match="^window heights differ$"):
             make_module(src, tgt, U)
     # a hand-built module gets the same report, before any algebra
-    from windowalg.isogeny import IsogenyModule
-
     fake = IsogenyModule(src, tgt, U, 2, f.one())
     with monkeypatch.context() as m:
         for name in ("det", "adjugate", "mmul", "dot"):
@@ -219,3 +230,92 @@ def test_random_triangular_modules_validate():
         assert p_length(mod) == total
         assert validate_breuil_module(mod) == []
         assert group_order(mod) == 3**total
+
+
+def test_hand_built_module_that_is_not_a_morphism_is_reported():
+    # diag(1 + u, 1) is no morphism of this window and m = 5 is made up;
+    # the validator once passed it, checking only identities of every matrix
+    f = frame313()
+    w = random_window(make_rng(601), f, d=1, c=1)
+    U = ((f.one() + f.u(), f.zero()), (f.zero(), f.one()))
+    fake = IsogenyModule(w, w, U, 5, f.one())
+    assert validate_breuil_module(fake) == ["U is not a window morphism"]
+
+
+def test_hand_built_p_length_and_unit_are_checked_against_det():
+    f = frame313()
+    w = random_window(make_rng(612), f, d=1, c=1)
+    U = scalar_matrix(f, 2, 3)
+    assert validate_breuil_module(IsogenyModule(w, w, U, 2, f.one())) == []
+    wrong_m = validate_breuil_module(IsogenyModule(w, w, U, 1, f.one()))
+    assert wrong_m == ["m = 1, but ord_p det(U) = 2", "det(U) != p^m * det_unit"]
+    wrong_unit = validate_breuil_module(IsogenyModule(w, w, U, 2, f.const(2)))
+    assert wrong_unit == ["det(U) != p^m * det_unit"]
+    # det_unit is known only mod p^(N-m): a unit off by p^(N-m) is the same module
+    assert validate_breuil_module(IsogenyModule(w, w, U, 2, f.const(1 + 3**4))) == []
+
+
+def test_window_whose_A_is_not_invertible_is_reported():
+    f = frame313()
+    three = f.const(3)
+    w = Window(f, 1, 1, ((three, f.zero()), (f.zero(), f.one())))  # past make_window
+    mod = IsogenyModule(w, w, mx.identity(2, f.one()), 0, f.one())
+    assert validate_breuil_module(mod) == [
+        "source det(A) is not a unit",
+        "target det(A) is not a unit",
+    ]
+
+
+def test_composite_past_the_precision_is_refused():
+    f = frame313(N=2)
+    w = make_window(f, 1, 0, ((f.one(),),))
+    mod = make_module(w, w, ((f.const(3),),))
+    assert p_length(mod) == 1
+    with pytest.raises(IsogenyError, match=r"^det\(U\) vanishes at this precision$"):
+        compose(mod, mod)
+
+
+def test_compose_and_validate_expand_no_needless_determinant(monkeypatch):
+    f = frame313(N=7)
+    w = upper_window(make_rng(613), f, 1, 1, 1)
+    mod = make_module(w, w, scalar_matrix(f, 2, 3))
+    calls = []
+
+    def spy(name):
+        real = getattr(mx, name)
+
+        def wrapped(M):
+            calls.append((name, M))
+            return real(M)
+
+        return wrapped
+
+    with monkeypatch.context() as m:
+        for name in ("det", "adjugate"):
+            m.setattr(mx, name, spy(name))
+        comp = compose(mod, mod)
+        assert calls == []
+        assert validate_breuil_module(comp) == []
+    # one determinant, of U itself: none of a phi matrix, no adjugate
+    assert [name for name, _ in calls] == ["det"]
+    assert mx.meq(calls[0][1], comp.U)
+
+
+@pytest.mark.parametrize("kw", [dict(a=1, N=2), dict(a=2, N=2), dict()])
+def test_structural_lines_agree_with_the_phi_determinant(kw):
+    # det(phi) = det(A) * E^d with det(A) a unit, so E^d decides; the full
+    # expansion of det(phi) is the reference
+    f = frame313(**kw)
+    seen = set()
+    for d, c in [(1, 1), (2, 0), (2, 1), (3, 0)]:
+        w = make_window(f, d, c, mx.identity(d + c, f.one()))
+        vanishes = mx.det(w.phi_matrix()).is_zero()
+        seen.add((d, vanishes))
+        report = validate_breuil_module(make_module(w, w, mx.identity(d + c, f.one())))
+        lines = ["source structural determinant vanishes", "target structural determinant vanishes"]
+        assert report == (lines if vanishes else [])
+    expected = {
+        (1, 2): {(1, False), (2, True), (3, True)},
+        (2, 2): {(1, False), (2, False), (3, True)},
+    }
+    assert seen == expected.get((f.a, f.N), {(1, False), (2, False), (3, False)})
