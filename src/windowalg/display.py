@@ -60,8 +60,12 @@ class DDisplay:
 
 
 def to_display(w):
-    """B = kappa(A), with tau scaling the L-block columns (F'_1 = tau * F_1)."""
-    B = mx.cscale(mx.mmap(w.A, kappa), [None] * w.d + [tau(w.frame)] * w.c)
+    """B = kappa(A), with tau scaling the L-block columns (F'_1 = tau * F_1);
+    tau is computed only when there is an L-block.  The L-block products
+    read only the ghosts of their kappa-images, the J-block only components."""
+    B = mx.mmap(w.A, kappa)
+    if w.c:
+        B = mx.cscale(B, [None] * w.d + [tau(w.frame)] * w.c)
     return DDisplay(w.frame, w.d, w.c, B, source=w)
 
 
@@ -86,22 +90,23 @@ def validate_display(D):
     if w.frame != D.frame:
         errors.append("source window frame mismatch")
         return errors
+    n = w.height
+    for j in range(w.d):
+        if any(D.B[i][j] != kappa(w.A[i][j]) for i in range(n)):
+            errors.append("J-column %d does not extend F" % (j + 1))
+    if not w.c:
+        return errors
     frame = D.frame
     sE = frame.E.frobenius()
     p_w = from_int(frame.p, frame.L, frame=frame, tag="R")
-    moduli = [frame.p ** max(min(frame.a, frame.N - n), 0) for n in range(frame.L)]
-    for j in range(w.height):
-        for i in range(w.height):
-            if j < w.d:
-                if D.B[i][j] != kappa(w.A[i][j]):
-                    errors.append("J-column %d does not extend F" % (j + 1))
-                    break
-            else:
-                lhs = wmul(p_w, D.B[i][j]).comps
-                rhs = kappa(sE * w.A[i][j]).comps
-                if any(c % q for x, y, q in zip(lhs, rhs, moduli) for c in (x - y).packed.values()):
-                    errors.append("L-column %d violates F' = p*F'_1" % (j + 1))
-                    break
+    moduli = [frame.p ** max(min(frame.a, frame.N - k), 0) for k in range(frame.L)]
+    for j in range(w.d, n):
+        for i in range(n):
+            lhs = wmul(p_w, D.B[i][j]).comps
+            rhs = kappa(sE * w.A[i][j]).comps
+            if any(c % q for x, y, q in zip(lhs, rhs, moduli) for c in (x - y).packed.values()):
+                errors.append("L-column %d violates F' = p*F'_1" % (j + 1))
+                break
     return errors
 
 

@@ -95,7 +95,8 @@ def validate_breuil_module(module):
     """Report-style checks that a module, built by hand or not, is what
     make_module would build; [] when it is.
 
-    Windows of different heights are reported before any algebra.  Then
+    Windows of different heights or frames, and a U of the wrong shape,
+    are reported before any algebra, with WindowMorphism's texts.  Then
     make_module runs again on (source, target, U): its refusal is one
     line, and otherwise m and p^m * det_unit (exact, unlike det_unit
     alone) must agree with the fresh ones.  Each window needs det(A) a
@@ -106,6 +107,10 @@ def validate_breuil_module(module):
     source, target = module.source, module.target
     if source.height != target.height:
         return ["window heights differ"]
+    try:
+        WindowMorphism(source, target, module.U)  # the frames and the shape of U, no algebra
+    except ValueError as exc:  # FrameMismatchError is one
+        return [str(exc)]
     errors = []
     try:
         fresh = make_module(source, target, module.U)

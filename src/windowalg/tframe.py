@@ -15,8 +15,10 @@ pC^(-1)*A2^(-1)*sigma(Y)*s*A1*C, s = p^(p-2) v^(p-1), on D = pC^(-1)*Z*C
 up to the first zero one: Psi is linear and takes v-valuation m to at
 least p*m + p - 1, so iterate k vanishes mod v^(a-1) once p^k > a - 1;
 a nonzero iterate past that bound is a PrecisionError, not a hang.  No
-dense inverse enters a product: A2^(-1)*M is det(A2)^(-1)*(adj(A2)*M), and
-pC^(-1) divides rows by the sparse v + eps (TElem.divide) or scales them by p.
+inverse is taken: A2^(-1)*M is adj(A2)*M divided entry-wise by the unit
+det(A2), and pC^(-1) = blockdiag((v+eps)^(-1) I_d, p I_c) joins that
+division, rows i < d divided by det(A2)*(v + eps) and the others by
+det(A2) and scaled by p (TElem.divide).
 """
 
 from __future__ import annotations
@@ -277,9 +279,9 @@ def solve_iso(w1, w2, level=None):
     The windows must share a valid frame and their shape, and A1 - A2 must lie
     in u^e*S (A2 is invertible: A2^(-1)*A1 = I + u^e*Z), checked before any
     inverse.  T_level -> T_lv, lv = max(level - 1, 1), is a ring map commuting
-    with sigma and vY needs Y only mod v^lv, so adj(A2), det(A2)^(-1), Z and the
-    Psi sum run at lv (A2^(-1)*M is det^(-1)*(adj*M), pC^(-1) a row division by
-    v + eps) and vY is a u-shift by e.  The full-level residual of X must be zero.
+    with sigma and vY needs Y only mod v^lv, so adj(A2), det(A2), Z and the
+    Psi sum run at lv (A2^(-1)*M is adj*M divided by det, pC^(-1) a row division
+    by v + eps) and vY is a u-shift by e.  The full-level residual of X must be zero.
     """
     if w1.frame != w2.frame:
         raise FrameMismatchError("windows over different frames")
@@ -306,23 +308,27 @@ def solve_iso(w1, w2, level=None):
     except ValueError:
         raise HypothesisError("A2^(-1)*A1 is not congruent to I modulo u^e") from None
 
-    # adj(A2) into each product first, det(A2)^(-1) into its n^2 entries last; pC^(-1) =
-    # blockdiag((v+eps)^(-1) I_d, p I_c) (E = p(v+eps)) divides rows i < d, scales the rest
+    # adj(A2) into each product first, then n^2 unit divisions by det(A2); pC^(-1) =
+    # blockdiag((v+eps)^(-1) I_d, p I_c) (E = p(v+eps)) divides rows i < d by dj, the
+    # rest by dl if given, and scales them by p: D divides by det over S first, Psi
+    # divides rows i < d once by det*(v+eps) and the rest by det
     adj = mx.adjugate(A2 := clip(w2.A))
-    dinv = mx.dot(A2[0], [row[0] for row in adj]).invert()
+    det = mx.dot(A2[0], [row[0] for row in adj])
     veps = TElem.v(low, lv) + TElem.embed(low.epsilon, lv)
-    pcinv = lambda M: tuple(
-        tuple(x.divide(veps) if i < d else x * frame.p for x in row) for i, row in enumerate(M)
-    )
-    adjT, dinvT, C = emb(adj), TElem.embed(dinv, lv), _c_factors(low, lv, d, c)
+    adjT, detT, C = emb(adj), TElem.embed(det, lv), _c_factors(low, lv, d, c)
     A1C = mx.cscale(emb(clip(w1.A)), C)
+    dveps = detT * veps
+    pcinv = lambda M, dj, dl=None: tuple(
+        tuple(x.divide(dj) if i < d else (x if dl is None else x.divide(dl)) * frame.p for x in row)
+        for i, row in enumerate(M)
+    )
 
-    D = pcinv(mx.cscale(emb(mx.mscal(mx.mmul(adj, W), dinv)), C))
+    D = pcinv(mx.cscale(emb(mx.mmap(mx.mmul(adj, W), lambda x: x.divide(det))), C), veps)
     # v * u^(e(p-2)) = p^(p-2) * v^(p-1); on sigma(Y) first, whose terms then sit at
     # u-degree (p-1)e or more, so the u-cap ends their rows against A1C early
     s = TElem.v(low, lv, frame.p - 1) * pow(frame.p, frame.p - 2, frame.p**frame.N)
     sY = lambda Y: mx.mmap(Y, lambda x: x.sigma() * s)
-    psi = lambda Y: pcinv(mx.mscal(mx.mmul(adjT, mx.mmul(sY(Y), A1C)), dinvT))
+    psi = lambda Y: pcinv(mx.mmul(adjT, mx.mmul(sY(Y), A1C)), dveps, detT)
 
     # iterate k has v-valuation >= p^k - 1, so it vanishes mod v^lv once p^k > lv
     Y, term, k = D, psi(D), 1

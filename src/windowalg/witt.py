@@ -12,17 +12,20 @@ the same values as substituting into the symbolic polynomials of
 witt_polys while staying cheap for large (p, L).
 
 A vector carries its ghost tables at the boosted modulus p^(M+L-1),
-M the exponent of its components: delta, kappa, tau and from_int
-attach them, sums, products and negatives combine their operands'
-and solve once, and any other vector computes them on first use.
-Carried ghost n agrees with the recomputed one mod p^(M+n), and
-component n of a solve, mod p^M, depends only on ghost n mod p^(M+n);
-so no result depends on where the ghosts came from, and filling the
-slot late changes no value (vectors stay safe to share).
+M the exponent of its components: delta, tau and from_int attach
+them, sums, products and negatives combine their operands' and solve
+once, and any other vector computes them on first use.  Carried ghost
+n agrees with the recomputed one mod p^(M+n), and component n of a
+solve, mod p^M, depends only on ghost n mod p^(M+n); so no result
+depends on where the ghosts came from, and filling the slot late
+changes no value (vectors stay safe to share).
 
 delta is the ring section with ghost components sigma^n(x); kappa is
-its composite with reduction mod E; tau is the unit with p*tau =
-kappa(sigma(E)), solved from its ghosts pi(sigma^(n+1)(E))/p.
+its composite with reduction mod E, and a kappa-image remembers
+(x, length) and fills its components and its ghosts on first read,
+each half once: a display's L-block reads only ghosts and its J-block
+only components.  tau is the unit with p*tau = kappa(sigma(E)), solved
+from its ghosts pi(sigma^(n+1)(E))/p.
 """
 
 from __future__ import annotations
@@ -87,11 +90,12 @@ def _ring_of(key, boost=0):
     return _zring(p, None if pexp is None else p ** (pexp + boost))
 
 
-def _vector(key, tables, ghosts=None):
-    """The vector with these canonical tables (and boosted ghosts), unchecked."""
+def _vector(key, tables, ghosts=None, src=None):
+    """The vector with these canonical tables (and boosted ghosts), unchecked;
+    a kappa-image has src = (x, length) and no tables yet."""
     out = WittVec.__new__(WittVec)
     out.tag, out.frame, out.p, out.pexp = key
-    out._tables, out._ghosts = tables, ghosts
+    out._tabs, out._ghosts, out._src = tables, ghosts, src
     return out
 
 
@@ -104,7 +108,7 @@ def _solved(key, ghosts):
 class WittVec:
     """Length-L Witt vector, L >= 1; tag is "S", "R" or "Z"."""
 
-    __slots__ = ("tag", "frame", "p", "pexp", "_tables", "_ghosts")
+    __slots__ = ("tag", "frame", "p", "pexp", "_tabs", "_ghosts", "_src")
 
     def __init__(self, tag, comps, frame=None, p=None, pexp=None):
         comps = tuple(comps)
@@ -120,7 +124,7 @@ class WittVec:
         else:
             raise FrameMismatchError("Witt components outside the base ring")
         self.tag, self.frame, self.p, self.pexp = key
-        self._tables, self._ghosts = tables, None
+        self._tabs, self._ghosts, self._src = tables, None, None
 
     @property
     def comps(self):
@@ -131,8 +135,16 @@ class WittVec:
 
     # -- plumbing -----------------------------------------------------------
 
+    @property
+    def _tables(self):
+        """Component tables; a kappa-image solves them from delta on first read."""
+        if self._tabs is None:
+            x, length = self._src
+            self._tabs = [_pi_sigma(self.frame, 0, t, 1) for t in delta(x, length)._tables]
+        return self._tabs
+
     def __len__(self):
-        return len(self._tables)
+        return len(self._tabs) if self._src is None else self._src[1]
 
     def _key(self):
         return self.tag, self.frame, self.p, self.pexp
@@ -148,9 +160,16 @@ class WittVec:
 
     def _ghost_tables(self):
         """Ghost tables at the boosted modulus, computed on first use
-        unless the producer of the vector attached them."""
+        unless the producer of the vector attached them; a kappa-image
+        folds pi(sigma^n(x)) without solving its components."""
         if self._ghosts is None:
-            self._ghosts = _ghosts_of(self._ring(len(self) - 1), self._tables, self.p)
+            if self._src is None:
+                self._ghosts = _ghosts_of(self._ring(len(self) - 1), self._tables, self.p)
+            else:
+                x, length = self._src
+                self._ghosts = [
+                    _pi_sigma(self.frame, length - 1, x.packed, self.p**n) for n in range(length)
+                ]
         return self._ghosts
 
     def __eq__(self, other):
@@ -242,18 +261,23 @@ def from_int(n, length, like=None, frame=None, tag="S", p=None, pexp=None):
     return _solved(key, [_ring_of(key, length - 1).const(n)] * length)
 
 
+def _section_length(x, length):
+    """The Witt length of delta(x) or kappa(x); refuses a non-S x or a length below 1."""
+    if not isinstance(x, SeriesElem) or x.tag != "S":
+        raise ValueError("delta is defined on series-ring elements")
+    length = x.frame.L if length is None else length
+    if length < 1:
+        raise ValueError("Witt length must be >= 1")
+    return length
+
+
 def delta(x, length=None):
     """Ring section of the series ring into its Witt vectors.
 
     The components solve w_n(delta(x)) = sigma^n(x); the recursion runs
     at precision N + length - 1 and the result is stamped at N.
     """
-    if not isinstance(x, SeriesElem) or x.tag != "S":
-        raise ValueError("delta is defined on series-ring elements")
-    frame = x.frame
-    length = frame.L if length is None else length
-    if length < 1:
-        raise ValueError("Witt length must be >= 1")
+    frame, length = x.frame, _section_length(x, length)
     ring = frame.ring("S", boost=length - 1)
     ghosts = [ring.norm(x.packed)]
     for _ in range(length - 1):
@@ -264,17 +288,15 @@ def delta(x, length=None):
 def kappa(x, length=None):
     """Component-wise reduction of delta(x) into W(R/p^aR).
 
-    Its components, and the ghosts pi(sigma^n(x)) it carries, come from
-    series._pi_sigma, the fold routine of reduce_mod_E.  Those ghosts
-    agree with the ghosts of its components mod p^(M+n), M = min(a, N),
-    because the quotient by E has no p-torsion and u^(a*e) lies in
-    (E, p^M).  delta checks x and the length.
+    x and the length are checked now; each half of the vector is filled
+    on its first read, once.  Its components are those of delta(x)
+    folded by series._pi_sigma, the fold routine of reduce_mod_E, and
+    its ghosts are pi(sigma^n(x)).  Those ghosts agree with the ghosts
+    of its components mod p^(M+n), M = min(a, N), because the quotient
+    by E has no p-torsion and u^(a*e) lies in (E, p^M).
     """
-    dv = delta(x, length)
-    frame, length = x.frame, len(dv)
-    tables = [_pi_sigma(frame, 0, t, 1) for t in dv._tables]
-    ghosts = [_pi_sigma(frame, length - 1, x.packed, frame.p**n) for n in range(length)]
-    return _vector(("R", frame, frame.p, None), tables, ghosts)
+    length = _section_length(x, length)
+    return _vector(("R", x.frame, x.frame.p, None), None, src=(x, length))
 
 
 def tau(frame):

@@ -138,6 +138,45 @@ def test_tau_scaling_on_mixed_window():
         assert D.B[i][1] == kappa(w.A[i][1]) * t
 
 
+def test_tau_is_computed_only_for_an_L_block(monkeypatch):
+    from windowalg import display
+    from windowalg.series import _frame
+
+    calls = []
+    monkeypatch.setattr(display, "tau", lambda f: calls.append(f) or tau(f))
+    _frame.cache_clear()
+    f = frame313()
+    D = to_display(random_window(make_rng(406), f, d=2, c=0))
+    assert validate_display(D) == []
+    assert calls == [] and "tau" not in f._cache
+    # a window with an L-block still scales it by tau
+    w = random_window(make_rng(407), f, d=1, c=1)
+    D = to_display(w)
+    assert calls == [f]
+    assert [D.B[i][1] for i in range(2)] == [kappa(w.A[i][1]) * tau(f) for i in range(2)]
+
+
+def test_each_kappa_image_fills_only_the_half_it_is_read_for(monkeypatch):
+    from windowalg import display, witt
+
+    f = frame313(L=3)
+    tau(f)  # its check reads the components of kappa(sigma(E))
+    images, deltas = [], []
+    delta = witt.delta
+    monkeypatch.setattr(display, "kappa", lambda x: images.append(witt.kappa(x)) or images[-1])
+    monkeypatch.setattr(witt, "delta", lambda *a: deltas.append(a) or delta(*a))
+    # d = 0: the L-block products read ghosts only, so no delta solve runs
+    to_display(random_window(make_rng(408), f, d=0, c=2))
+    assert len(images) == 4 and deltas == []
+    assert all(v._tabs is None and v._ghosts is not None for v in images)
+    # the J-block and validate_display read components only: no kappa ghost is folded
+    D = to_display(random_window(make_rng(409), f, d=1, c=1))
+    images.clear()
+    assert validate_display(D) == []
+    assert len(images) == 4 and deltas
+    assert all(v._ghosts is None for v in images + [D.B[0][0], D.B[1][0]])
+
+
 def test_det_zeroth_component_is_det_of_zeroth_components():
     # x -> x_0 is a ring map W(R) -> R, which validate_display relies on
     rng = make_rng(405)

@@ -462,6 +462,25 @@ def test_solver_inverts_A2_one_v_level_down(monkeypatch):
         assert mx.meq(X, solve_iso_reference(w1, w2, level))
 
 
+def test_solver_divides_by_det_A2_and_inverts_nothing(monkeypatch):
+    # A2^(-1)*M is adj(A2)*M divided by det(A2): no dense inverse of det(A2)
+    from windowalg.series import SeriesElem
+
+    def refuse(x):
+        raise AssertionError("inverse taken")
+
+    rng = make_rng(532)
+    for f in (frame313(N=4), frame_e2(a=4, N=6)):
+        for d, c in ((0, 2), (1, 1), (2, 0), (1, 2)):
+            w1, w2 = random_solve_pair(rng, f, d, c)
+            expect = solve_iso_reference(w1, w2, f.a)
+            with monkeypatch.context() as m:
+                m.setattr(SeriesElem, "invert", refuse)
+                m.setattr(TElem, "invert", refuse)
+                X = solve_iso(w1, w2)
+            assert mx.meq(X, expect)
+
+
 def test_solver_hypothesis_is_checked_before_inverting(monkeypatch):
     from windowalg import tframe
 

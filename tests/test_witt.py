@@ -474,7 +474,8 @@ def _rebuilt(v):
 @given(carrying_pair())
 def test_carried_ghosts_give_the_values_of_rebuilt_copies(pair):
     x, y = pair
-    assert x._ghosts is not None and y._ghosts is not None
+    # the ghosts come from the producer: attached, or filled from the kappa source
+    assert all(v._ghosts is not None or v._src is not None for v in pair)
     bx, by = _rebuilt(x), _rebuilt(y)
     for op in (wadd, wmul, lambda a, b: a - b):
         assert op(x, y) == op(bx, by)
@@ -504,6 +505,58 @@ def test_tau_ghosts_agree_with_its_components():
     rng = make_rng(212)
     for f in GHOST_FRAMES + [random_frame(rng) for _ in range(20)]:
         _assert_ghosts_agree(tau(f), f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(GHOST_FRAMES), st.integers(0, 2**32), st.integers(1, 4), st.booleans())
+def test_lazy_kappa_fills_the_eager_components_and_ghosts(f, seed, length, ghosts_first):
+    # kappa solves nothing at the call; each half, read first or second, is
+    # the eager one: delta's components folded mod E, the folds pi(sigma^n(x))
+    from windowalg.series import _pi_sigma
+
+    x = random_series(make_rng(seed), f, terms=5, bound=f.p**f.N)
+    v = kappa(x, length)
+    assert len(v) == length and v._tabs is None and v._ghosts is None
+    comps = [c.reduce_mod_E() for c in delta(x, length).comps]
+    folds = [_pi_sigma(f, length - 1, x.packed, f.p**n) for n in range(length)]
+    if ghosts_first:
+        assert v._ghost_tables() == folds and v._tabs is None
+    assert list(v.comps) == comps
+    assert ghosts_first or v._ghosts is None
+    assert v._ghost_tables() == folds
+    for g in ghost(v):  # ghost n is pi(sigma^n(x)) in R/p^min(a, N)
+        assert g == x.reduce_mod_E()
+        x = x.frobenius()
+
+
+def test_threads_reading_one_unfilled_kappa_image_get_equal_values():
+    # each thread may fill a half itself; the fills are equal, so every read agrees
+    import sys
+    import threading
+
+    f = GHOST_FRAMES[2]
+    x = random_series(make_rng(216), f, terms=5, bound=f.p**f.N)
+    expect = kappa(x)
+    expect = (expect.comps, ghost(expect))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for half in (lambda v: (v.comps, ghost(v)), lambda v: (ghost(v), v.comps)[::-1]):
+            shared, barrier, results = kappa(x), threading.Barrier(4, timeout=60), [None] * 4
+
+            def work(i):
+                barrier.wait()
+                results[i] = half(shared)
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+            assert not any(t.is_alive() for t in threads)
+            assert results == [expect] * 4
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_kappa_of_E_is_verschiebung_of_tau():
