@@ -216,33 +216,26 @@ def test_windows_of_different_heights_are_refused_before_any_determinant(monkeyp
         assert validate_breuil_module(fake) == ["window heights differ"]
 
 
-def test_windows_over_two_frames_are_reported_before_any_algebra(monkeypatch):
+def test_two_frames_or_a_wrongly_shaped_U_are_reported_before_any_algebra(monkeypatch):
     f, g = frame313(), frame313(N=7)
-    src, tgt = random_window(make_rng(613), f, d=1, c=1), random_window(make_rng(613), g, d=1, c=1)
-    fake = IsogenyModule(src, tgt, scalar_matrix(g, 2, 3), 2, g.one())
-
-    def refuse(M):
-        raise AssertionError("matrix algebra")
-
-    with monkeypatch.context() as m:
-        for name in ("det", "det_is_unit", "mmul"):
-            m.setattr(mx, name, refuse)
-        assert validate_breuil_module(fake) == ["morphism endpoints over different frames"]
-
-
-def test_a_U_of_the_wrong_shape_is_reported_before_any_algebra(monkeypatch):
-    f = frame313()
-    w = random_window(make_rng(614), f, d=1, c=1)
-
-    def refuse(M):
-        raise AssertionError("matrix algebra")
-
+    w = random_window(make_rng(613), f, d=1, c=1)
+    cases = [(random_window(make_rng(613), g, d=1, c=1), scalar_matrix(g, 2, 3), "frames")]
     for U in (scalar_matrix(f, 1, 3), scalar_matrix(f, 3, 3), ((f.one(), f.zero()), (f.one(),))):
-        fake = IsogenyModule(w, w, U, 1, f.one())
+        cases.append((w, U, "shape"))
+
+    def refuse(*args):
+        raise AssertionError("matrix algebra")
+
+    for tgt, U, what in cases:
         with monkeypatch.context() as m:
             for name in ("det", "det_is_unit", "mmul"):
                 m.setattr(mx, name, refuse)
-            assert validate_breuil_module(fake) == ["morphism matrix has the wrong shape"]
+            report = validate_breuil_module(IsogenyModule(w, tgt, U, 1, f.one()))
+        assert report == [
+            "morphism endpoints over different frames"
+            if what == "frames"
+            else "morphism matrix has the wrong shape"
+        ]
 
 
 def test_random_triangular_modules_validate():
