@@ -22,9 +22,9 @@ u-field holds 2*MAX_UCAP - 1, so the product of two monomials inside
 the caps is one integer add that never carries between fields, the
 t-cap is one compare (the total degree is the top field) and the u-cap
 one mask and one compare.  Every ring of a frame (S, R, boosted, and
-the T-ring of tframe, which is the S kernel of a level with p-power
-weights on its coefficients) shares the layout, and the layout does not
-depend on the level, so moving a table between rings never repacks.
+the T-ring of tframe, whose products gain p where u-degrees wrap past
+e) shares the layout, and the layout does not depend on the level, so
+moving a table between rings never repacks.
 Tables keyed by exponent tuples (alpha_1, .., alpha_r, j) remain the
 outside view: Frame.elem and the TElem constructor take them,
 SeriesElem.coeffs and TElem.coeffs return them, and the parser and
@@ -129,7 +129,9 @@ class _Kernel:
     integers); tdeg and ucap are the t- and u-caps (None: none, the
     field width then bounds exponents and overflow is refused).  When
     tail (E - u^e as packed pairs) is set the ring is the E-quotient:
-    u-degree is kept below e by long division after every product.
+    u-degree is kept below e by long division after every product.  When
+    wrap is set (e, in the T ring of tframe) a pair of terms whose
+    u-degrees mod wrap sum to wrap or more gains the factor p.
 
     There is one product loop, umul, which every ring shares.  It splits
     the inner operand into u-bands, each sorted by packed key, so for a
@@ -137,13 +139,14 @@ class _Kernel:
     ends each band: only pairs inside both caps are formed.  dot runs umul
     on each pair into one table, then normalizes it, or divides it by E
     in the quotient ring, once; mul is dot of one pair.  sqr is the same
-    loop over the unordered pairs of one table, which pow uses.  divide
-    forms a quotient by a unit term by term in rising key, without inverses.
+    loop over the unordered pairs of one table, which pow uses (a wrap
+    kernel squares by mul).  divide forms a quotient by a unit term by
+    term in rising key, without inverses.
     """
 
-    __slots__ = ("p", "layout", "tdeg", "ucap", "pmod", "e", "tail", "tbound", "ulim")
+    __slots__ = ("p", "layout", "tdeg", "ucap", "pmod", "e", "tail", "wrap", "tbound", "ulim")
 
-    def __init__(self, layout, p, tdeg, ucap, pmod, e=None, tail=None):
+    def __init__(self, layout, p, tdeg, ucap, pmod, e=None, tail=None, wrap=None):
         self.p = p
         self.layout = layout
         self.tdeg = tdeg
@@ -151,6 +154,7 @@ class _Kernel:
         self.pmod = pmod
         self.e = e
         self.tail = tail
+        self.wrap = wrap
         # packed keys at or above tbound have total t-degree > the cap
         self.tbound = ((layout.tmax if tdeg is None else tdeg) + 1) << layout.ts
         # the u-cap applied inside products; the E-quotient divides instead
@@ -263,12 +267,14 @@ class _Kernel:
 
         For a term k1 of f the bands of g end at the u-cap minus the
         u-degree of k1, and a band ends at its first k2 >= tbound - k1,
-        where the product leaves the t-cap (the top field).  An f of at
-        most two terms tests both caps on g unsorted: banding costs more.
+        where the product leaves the t-cap (the top field).  On a wrap
+        kernel a band whose u-degree mod wrap meets that of k1 at wrap or
+        more takes c1*p.  Without wrap an f of at most two terms tests both
+        caps on g unsorted: banding costs more.
         """
-        tb, um, ul = self.tbound, self.layout.umask, self.ulim
+        tb, um, ul, w, p = self.tbound, self.layout.umask, self.ulim, self.wrap, self.p
         get = out.get
-        if len(f) <= 2:
+        if len(f) <= 2 and w is None:
             for k1, c1 in f.items():
                 lim, ulk = tb - k1, ul - (k1 & um)
                 for k2, c2 in g.items():
@@ -279,22 +285,23 @@ class _Kernel:
         if gb is None:
             gb = self.bands(g)
         for k1, c1 in f.items():
-            lim, ulk = tb - k1, ul - (k1 & um)
+            lim, ulk, rw = tb - k1, ul - (k1 & um), w and w - (k1 & um) % w
             for u, band in gb:
                 if u >= ulk:
                     break
+                c = c1 * p if w and u % w >= rw else c1
                 for k2, c2 in band:
                     if k2 >= lim:
                         break
                     k = k1 + k2
-                    out[k] = get(k, 0) + c1 * c2
+                    out[k] = get(k, 0) + c * c2
 
     def sqr(self, f):
         """mul(f, f), forming each unordered pair of terms once: a term
         pairs with itself, the later terms of its band and the bands above
-        it up to the u-cap, and each band ends at the t-cap.  Uncapped
-        kernels and tables of at most two terms go through mul."""
-        if len(f) <= 2 or self.tdeg is None:
+        it up to the u-cap, and each band ends at the t-cap.  Uncapped and
+        wrap kernels and tables of at most two terms go through mul."""
+        if len(f) <= 2 or self.tdeg is None or self.wrap:
             return self.mul(f, f)
         tb, ul = self.tbound, self.ulim
         fb = self.bands(f)
@@ -394,18 +401,17 @@ class _Kernel:
             raise ValueError("u-shift by %d leaves the u-field" % d)
         return {k + d: c for k, c in f.items()}
 
-    def divide(self, f, g, e=None):
+    def divide(self, f, g):
         """q with q*g = f for a unit g, in rising packed key: keys add under
         products, so q_k = (f_k - sum q_k1*g_k2 over k1 + k2 = k, k2 > 0)/g_0
         needs only smaller keys, taken from a heap of pending ones.  Pairs are
-        kept inside both caps; with e set (the T ring) a pair whose u-degrees
-        mod e sum to e or more gains the factor p."""
+        kept inside both caps, and a pair that wraps gains p as in umul."""
         from heapq import heappop, heappush  # not on the import path of every command
 
         p, m, tb, um, ul = self.p, self.pmod, self.tbound, self.layout.umask, self.ulim
         if g.get(0, 0) % p == 0:
             raise ZeroDivisionError("not a unit: constant term divisible by p")
-        inv, gb = pow(g[0], -1, m), self.bands({k: c for k, c in g.items() if k})
+        inv, gb, w = pow(g[0], -1, m), self.bands({k: c for k, c in g.items() if k}), self.wrap
         acc, q, heap = dict(f), {}, sorted(f)
         while heap:
             k1 = heappop(heap)
@@ -416,7 +422,7 @@ class _Kernel:
             for u2, band in gb:
                 if u2 >= ul - u1:
                     break
-                cn = -c1 * p if e and u1 % e + u2 % e >= e else -c1
+                cn = -c1 * p if w and u1 % w + u2 % w >= w else -c1
                 for k2, c2 in band:
                     if k2 >= lim:
                         break
@@ -654,9 +660,8 @@ class _Elem:
     """Plumbing shared by the elements of the S, R and T rings.
 
     A subclass holds frame and packed, supplies _ring() (its kernel),
-    _wrap(packed) (an element of the same ring), _key() (what names
-    that ring within the class) and _dot(pairs) (the sum of the products
-    of pairs of its elements), and defines its ring operations in its
+    _wrap(packed) (an element of the same ring) and _key() (what names
+    that ring within the class), and defines its ring operations in its
     own body.
     """
 
@@ -667,6 +672,9 @@ class _Elem:
         operands taken as constants; formed in one pass by _dot."""
         lift = self._lift
         return self._dot([(lift(x), lift(y)) for x, y in zip(xs, ys, strict=True)])
+
+    def _dot(self, pairs):  # the sum of the products of pairs of elements, by the kernel
+        return self._wrap(self._ring().dot([(x.packed, y.packed) for x, y in pairs]))
 
     def _lift(self, other):
         """other as an element of this ring; an int becomes its constant."""
@@ -757,9 +765,6 @@ class SeriesElem(_Elem):
 
     __rmul__ = __mul__
 
-    def _dot(self, pairs):
-        return self._wrap(self._ring().dot([(x.packed, y.packed) for x, y in pairs]))
-
     def __pow__(self, n):
         return self._wrap(self._ring().pow(self.packed, n))
 
@@ -791,7 +796,8 @@ class SeriesElem(_Elem):
 
         Divisibility by E in the truncated ring is exactly vanishing of
         reduce_mod_E; the polynomial remainder may be a nonzero multiple
-        of p^a, which the corrector g (g*E = p^a) absorbs.
+        of p^a, which the corrector g (g*E = p^a) absorbs.  When a < N, q
+        is unique only up to the annihilator of E, which holds p^(N-a)*g.
         """
         if self.tag != "S":
             raise ValueError("E-division acts on the series ring")

@@ -3,8 +3,11 @@
 T_a is generated over S by v = u^e/p, so it lies in S[1/p]: an element
 is one S-layout table of u-degree below a*e whose coefficient at
 u^(i*e + j) carries the weight p^(-i), standing for that coefficient
-times u^j v^i.  Sums are those of S; products, sigma and the embedding
-of S are those of S with the weights applied.  In this ring
+times u^j v^i.  Sums are those of S.  Products are those of S but for
+the wrap: u^j1 v^i1 * u^j2 v^i2 with j1 + j2 >= e is p * u^(j1+j2-e)
+v^(i1+i2+1), so the pair gains p, and one _Kernel with wrap = e carries
+that rule for products, dots and unit divisions.  Sigma and the
+embedding of S are those of S with the weights applied.  In this ring
 E = p(v + epsilon), so p and E differ by a unit, and sigma acts on v by
 sigma(v) = sigma(u^e)/p = p^(p-1) v^p.
 
@@ -24,7 +27,7 @@ det(A2) and scaled by p (TElem.divide).
 from __future__ import annotations
 
 from . import matrices as mx
-from .series import FrameMismatchError, PrecisionError, SeriesElem, _Elem
+from .series import FrameMismatchError, PrecisionError, SeriesElem, _Elem, _Kernel
 from .series import validate_frame
 
 
@@ -33,12 +36,14 @@ class HypothesisError(ValueError):
 
 
 def _tring(frame, level):
-    """The S kernel of frame.at_level(level) and p^0 .. p^(2*level - 2),
-    kept on the frame; a level with level*e > MAX_UCAP is refused."""
+    """The kernel of T_level (u-cap level*e, residues mod p^N, wrap e) and
+    the weights p^0 .. p^(level - 1), kept on the frame; a level with
+    level*e > MAX_UCAP is refused."""
     t = frame._cache.get(("T", level))
     if t is None:
-        ring = frame.at_level(level).ring("S")
-        t = frame._cache[("T", level)] = ring, [frame.p**i for i in range(2 * level - 1)]
+        f = frame.at_level(level)  # refuses level*e > MAX_UCAP
+        ring = _Kernel(f.layout, f.p, f.D, level * f.e, f.p**f.N, wrap=f.e)
+        t = frame._cache[("T", level)] = ring, [f.p**i for i in range(level)]
     return t
 
 
@@ -49,12 +54,11 @@ class TElem(_Elem):
     at u-degree k = i*e + j stands for c * u^j * v^i = c * p^(-i) * u^k,
     so keys have u-degree below level*e and residues are mod p^N; coeffs
     gives one table per power of v, keyed by exponent tuples.  The ring
-    is the S kernel of frame.at_level(level) with the weights p^(-i).
-    Elements are immutable, so _prep keeps what a product prepares from
-    packed (see _dot); equality, repr and coeffs never read it.
+    is the wrap kernel of _tring: a product of packed tables is the S
+    product in which a pair whose u-degrees mod e reach e gains p.
     """
 
-    __slots__ = ("frame", "level", "packed", "_prep")
+    __slots__ = ("frame", "level", "packed")
 
     def __init__(self, frame, level, coeffs):
         """Element from v-coefficient tables keyed by exponent tuples.
@@ -72,7 +76,6 @@ class TElem(_Elem):
         self.frame = frame
         self.level = level
         self.packed = ring.clip(tbl)
-        self._prep = None
 
     @classmethod
     def _of(cls, frame, level, packed):
@@ -81,7 +84,6 @@ class TElem(_Elem):
         self.frame = frame
         self.level = level
         self.packed = packed
-        self._prep = None
         return self
 
     def _ring(self):
@@ -153,42 +155,12 @@ class TElem(_Elem):
 
     __rmul__ = __mul__
 
-    def _dot(self, pairs):
-        """Scaled by p^W, W = level - 1, every coefficient is an integer
-        c * p^(W - i).  The banded loop _Kernel.umul adds the exact product
-        of the scaled tables of each pair, the shorter one outer and the
-        other in u-bands, into one table, which is divided back by
-        p^(2W - k//e) at u^k once.  Each operand keeps its scaled table,
-        and its bands once they are needed, from its first product; a
-        pair with an empty operand adds nothing."""
-        ring, pw = _tring(self.frame, self.level)
-        out = {}
-        for x, y in pairs:
-            if not x.packed or not y.packed:
-                continue
-            f, g = x._scaled(), y._scaled()
-            if len(f[0]) > len(g[0]):
-                f, g = g, f
-            if len(f[0]) > 2 and g[1] is None:
-                g[1] = ring.bands(g[0])
-            ring.umul(f[0], g[0], g[1], out)
-        e, um, m, W2 = self.frame.e, self.frame.layout.umask, ring.pmod, 2 * self.level - 2
-        return self._wrap({k: r for k, c in out.items() if (r := c // pw[W2 - (k & um) // e] % m)})
-
-    def _scaled(self):
-        """[the table scaled by p^W, its bands or None], kept from first use."""
-        if self._prep is None:
-            e, um, W = self.frame.e, self.frame.layout.umask, self.level - 1
-            pw = _tring(self.frame, self.level)[1]
-            self._prep = [{k: c * pw[W - (k & um) // e] for k, c in self.packed.items()}, None]
-        return self._prep
-
     def invert(self):
         return self.one().divide(self)
 
     def divide(self, d):
         """q with q*d == self for a unit d; a pair of terms wrapping past u^e gains p."""
-        return self._wrap(self._ring().divide(self.packed, self._lift(d).packed, self.frame.e))
+        return self._wrap(self._ring().divide(self.packed, self._lift(d).packed))
 
     def sigma(self):
         """sigma on coefficients plus v -> p^(p-1) v^p: the S-ring sigma
@@ -282,6 +254,8 @@ def solve_iso(w1, w2, level=None):
     with sigma and vY needs Y only mod v^lv, so adj(A2), det(A2), Z and the
     Psi sum run at lv (A2^(-1)*M is adj*M divided by det, pC^(-1) a row division
     by v + eps) and vY is a u-shift by e.  The full-level residual of X must be zero.
+    Rows i < d of X are fixed only mod p^(N-1): E*p^(N-1) = 0 in T, and eps, by
+    which those rows are divided, is known only mod p^(N-1).
     """
     if w1.frame != w2.frame:
         raise FrameMismatchError("windows over different frames")
@@ -341,15 +315,9 @@ def solve_iso(w1, w2, level=None):
     vY = mx.mmap(Y, lambda y: TElem._of(frame, level, ring.clip(ring.shift_u(y.packed, frame.e))))
     X = mx.madd(mx.identity(n, TElem.const(frame, level, 1)), vY)
 
+    # X = I mod v by construction: every key of vY is a u-shift by e
     if not mx.is_zero(residual(w1, w2, X, level)):
         raise PrecisionError("solver residual is nonzero")
-    um, e = frame.layout.umask, frame.e
-    for i in range(n):
-        for j in range(n):
-            lead = {k: c for k, c in X[i][j].packed.items() if k & um < e}
-            expect = {0: 1} if i == j else {}
-            if lead != expect:
-                raise PrecisionError("X is not congruent to I modulo v")
     return X
 
 

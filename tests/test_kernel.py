@@ -408,11 +408,24 @@ def test_T_product_and_sigma_of_any_elements(case):
 
 
 @PROPS
+@given(ANY_T_PAIRS)
+def test_T_kernel_squares_and_powers_with_the_wrap_factor(case):
+    """The T ring's kernel carries the wrap rule in every routine: its sqr
+    and pow give the element products X*X and X*X*X."""
+    f, level, xb, _ = case
+    X = TElem(f, level, xb)
+    ring = X._ring()
+    assert ring.wrap == f.e and ring.ucap == level * f.e
+    assert ring.sqr(X.packed) == (X * X).packed
+    assert ring.pow(X.packed, 3) == (X * X * X).packed
+
+
+@PROPS
 @given(ANY_T_PAIRS, st.data())
 def test_prepared_T_operands_multiply_as_fresh_ones(case, data):
-    """An operand keeps its scaled table and bands from its first product;
-    reused on either side, before and after other products, it gives the
-    products of fresh copies."""
+    """An operand reused on either side, before and after other products,
+    gives the products of fresh copies: a product leaves its operands as
+    they were."""
     f, level, xb, yb = case
     zb = data.draw(dense_t_elements(f, level, False))
 
@@ -444,8 +457,8 @@ def test_prepared_T_state_is_invisible():
     f, level = T_LEVEL4, 3
     bands = [{(0, 0): 1, (1, 1): 2}, {(2, 0): 4, (0, 1): 5}, {(1, 0): 7}]
     X, Y = TElem(f, level, bands), TElem(f, level, bands)
-    X * X  # X now holds its scaled table and bands, Y nothing
-    assert X._prep is not None and Y._prep is None
+    X * X  # a product keeps nothing on its operands
+    assert TElem.__slots__ == ("frame", "level", "packed")
     assert X == Y and Y == X
     assert repr(X) == repr(Y) and str(X) == str(Y) and X.coeffs == Y.coeffs
     assert not hasattr(X, "__dict__")

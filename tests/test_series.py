@@ -138,6 +138,20 @@ def test_divide_by_E_in_ring():
     assert f.one().divide_by_E() is None
 
 
+def test_divide_by_E_is_unique_only_up_to_the_annihilator_of_E_when_a_is_below_N():
+    # at a = 2 < N, p^(N-2)*g (g*E = p^2) is nonzero and kills E, so a quotient
+    # is fixed only up to the annihilator of E: each one below divides
+    for N, q in ((4, "28 + 73*u"), (6, "244 + 649*u")):
+        f = Frame.make(3, 0, 1, 2, N, 2, 2, "u + 3")
+        x = f.series("3 + 4*u")
+        assert x.divide_by_E() == f.series(q)
+        assert f.series(q) * f.E == x
+    f = Frame.make(3, 0, 1, 2, 4, 2, 2, "u + 3")
+    other = f.series("1 + u")
+    assert other != f.series("28 + 73*u")
+    assert other * f.E == f.series("3 + 4*u")
+
+
 def test_e_is_zero_divisor_free_on_oracle_division():
     f = frame313()
     q, rem = divmod_oracle(dict(f.series("u^2").coeffs), dict(f.E_items), f.e)

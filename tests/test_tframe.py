@@ -556,8 +556,8 @@ def test_solver_refuses_an_invalid_frame():
 
 
 def test_threads_share_a_cold_frame_and_its_elements():
-    # frames and elements are shared values, and TElem._prep may be filled by
-    # any thread: T products, to_display and solve_iso from four threads on
+    # frames and elements are shared values, and the frame caches may be filled
+    # by any thread: T products, to_display and solve_iso from four threads on
     # one cold frame and one set of elements give the one-thread answers
     import sys
     import threading
@@ -569,8 +569,8 @@ def test_threads_share_a_cold_frame_and_its_elements():
     def job(f):
         rng = make_rng(520)
         w1, w2 = random_solve_pair(rng, f, 1, 1)
-        # many dense elements, each multiplied by v first: the threads then
-        # fill the prepared tables in step, each while others may read it
+        # many dense elements, each multiplied by v on a cold frame: the
+        # threads fill its T-ring caches in step, each while others may read them
         xs = [TElem.embed(random_series(rng, f, terms=60), 4) for _ in range(50)]
         v = TElem.v(f, 4)
         return lambda: ([x * v for x in xs], to_display(w1), solve_iso(w1, w2, 2))
