@@ -1,8 +1,12 @@
 """windowalg: exact sigma-linear window algebra over truncated power-series frames.
 
 Each public name is listed once, under its home module, and that module
-is imported the first time the name is read (PEP 562).  So a CLI
-command compiles only the modules it runs.
+is imported the first time the name is read (PEP 562), so reading a
+name compiles only its home module and what that imports.  The CLI
+imports blocks, series, matrices and tframe for every command (tframe
+for solve-iso and nu); each command imports the rest of what it runs
+when it runs, so display, for one, also compiles tframe, which it
+does not run.
 """
 
 import importlib
@@ -31,13 +35,12 @@ _EXPORTS = {
         "tau",
         "from_int",
     ),
+    "windowcore": ("Window", "make_window"),
     "window": (
-        "Window",
         "WindowMorphism",
         "Triple",
         "SpecialFiber",
         "DecompositionError",
-        "make_window",
         "normal_decompose",
         "window_from_phi",
         "triple_of",

@@ -176,37 +176,36 @@ def parse_series(frame, text, line=1, col=1):
 # -- canonical rendering ------------------------------------------------------
 
 
-def _mono_str(key, r):
-    parts = []
-    for i in range(r):
-        if key[i] == 1:
-            parts.append("t%d" % (i + 1))
-        elif key[i] > 1:
-            parts.append("t%d^%d" % (i + 1, key[i]))
-    j = key[-1]
-    if j == 1:
-        parts.append("u")
-    elif j > 1:
-        parts.append("u^%d" % j)
-    return "*".join(parts)
+def render_table(tbl, layout):
+    """Deterministic rendering of a packed table: graded lexicographic
+    monomial order, least non-negative residues.
 
-
-def render_table(tbl, r):
-    """Deterministic rendering: graded lexicographic monomial order,
-    least non-negative residues."""
+    Ascending total degree, and within a degree t1 > t2 > ... > u: the
+    fields below the total t-degree hold (t1, .., tr, u) in lexicographic
+    order, so one sort on (total degree, those fields descending) reads
+    the keys as they are.
+    """
     if not tbl:
         return "0"
+    r, tw, tmax, um, ts = layout.r, layout.tw, layout.tmax, layout.umask, layout.ts
+    low = (1 << ts) - 1
     terms = []
-    # ascending total degree; within a degree, t1 > t2 > ... > u
-    for key in sorted(tbl, key=lambda k: (sum(k), tuple(-x for x in k))):
-        c = tbl[key]
-        mono = _mono_str(key, r)
-        if not mono:
+    for k in sorted(tbl, key=lambda k: (((k >> ts) + (k & um)) << ts) | (low ^ (k & low))):
+        parts = []
+        for i in range(r):
+            x = (k >> (ts - (i + 1) * tw)) & tmax
+            if x:
+                parts.append("t%d" % (i + 1) if x == 1 else "t%d^%d" % (i + 1, x))
+        j = k & um
+        if j:
+            parts.append("u" if j == 1 else "u^%d" % j)
+        c = tbl[k]
+        if not parts:
             terms.append(str(c))
         elif c == 1:
-            terms.append(mono)
+            terms.append("*".join(parts))
         else:
-            terms.append("%d*%s" % (c, mono))
+            terms.append("%d*%s" % (c, "*".join(parts)))
     return " + ".join(terms)
 
 
@@ -297,7 +296,7 @@ def parse_matrix_rows(frame, block):
 
 
 def build_window(frame, block):
-    from .window import make_window
+    from .windowcore import make_window
 
     level = block.get_int("a", frame.a)
     if level < 1:

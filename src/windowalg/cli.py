@@ -1,13 +1,15 @@
 """Deterministic command-line surface.
 
 One input file, explicit blocks, no environment configuration.  Exit
-codes: 0 success, 1 validation failure, 2 parse error.  Machine mode
-emits one "key = value" fact per line; human mode adds a title line.
+codes: 0 success, 1 validation failure, 2 parse error or usage error.
+Machine mode emits one "key = value" fact per line; human mode adds a
+title line.  The arguments are COMMAND [INPUT] [--machine], the flag
+anywhere; they are read here, so that a job loads no argparse (nor the
+gettext and locale it imports).
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from . import blocks as blk
@@ -210,24 +212,53 @@ COMMANDS = {
 }
 
 
+USAGE = "usage: windowalg [-h] [--machine] {%s} [input]\n" % ",".join(sorted(COMMANDS))
+
+HELP = USAGE + """
+exact window algebra over truncated power-series frames
+
+  input       block-format input file
+  --machine   key = value output only
+  -h, --help  show this help message and exit
+"""
+
+
+def _usage_error(message):
+    sys.stderr.write("%swindowalg: error: %s\n" % (USAGE, message))
+    raise SystemExit(2)
+
+
+def _parse_argv(argv):
+    """(command, input or None, machine) from COMMAND [INPUT] [--machine].
+
+    -h or --help anywhere prints HELP to stdout and exits 0.  A usage
+    error writes USAGE and one error line to stderr and exits 2, with
+    nothing on stdout.  Options are matched whole: no abbreviations.
+    """
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(HELP)
+        raise SystemExit(0)
+    words = [arg for arg in argv if arg != "--machine"]
+    options = [arg for arg in words if arg.startswith("-") and arg != "-"]
+    if options or len(words) > 2:
+        _usage_error("unrecognized arguments: %s" % " ".join(options or words[2:]))
+    if not words:
+        _usage_error("the following arguments are required: command")
+    command, path = words[0], words[1] if len(words) == 2 else None
+    if command not in COMMANDS:
+        _usage_error("argument command: invalid choice: %r" % command)
+    if path is None and COMMANDS[command][1]:
+        _usage_error("command %r needs an input file" % command)
+    return command, path, len(words) < len(argv)
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="windowalg",
-        description="exact window algebra over truncated power-series frames",
-    )
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("input", nargs="?", help="block-format input file")
-    parser.add_argument(
-        "--machine", action="store_true", help="key = value output only"
-    )
-    args = parser.parse_args(argv)
-    handler, needs_input = COMMANDS[args.command]
-    out = Emitter(args.machine, args.command)
+    command, path, machine = _parse_argv(sys.argv[1:] if argv is None else list(argv))
+    handler, needs_input = COMMANDS[command]
+    out = Emitter(machine, command)
     try:
         if needs_input:
-            if args.input is None:
-                parser.error("command %r needs an input file" % args.command)
-            spec = _load(args.input, args.command)
+            spec = _load(path, command)
             code = handler(spec, out)
         else:
             code = handler(out)

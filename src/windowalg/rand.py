@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from . import matrices as mx
 from .series import Frame
-from .window import make_window
+from .windowcore import make_window
 
 
 def random_table(rng, frame, terms=3, tmax=None, umax=None, bound=None):

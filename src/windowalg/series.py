@@ -27,8 +27,9 @@ e) shares the layout, and the layout does not depend on the level, so
 moving a table between rings never repacks.
 Tables keyed by exponent tuples (alpha_1, .., alpha_r, j) remain the
 outside view: Frame.elem and the TElem constructor take them,
-SeriesElem.coeffs and TElem.coeffs return them, and the parser and
-renderer work with them.
+SeriesElem.coeffs, TElem.coeffs and parse_poly return them.  The
+renderer reads packed keys, whose order below the total t-degree is
+that of the tuples.
 
 Every ring multiplies by one banded pair loop (_Kernel.umul) and squares
 by its unordered pairs (_Kernel.sqr); a sum of products (_Kernel.dot)
@@ -55,6 +56,10 @@ _WIDE = 32
 # Most term pairs one uncapped product may form.  Far above what any real
 # E needs, it bounds the time of each product in the exact parse of E.
 _PAIRS = 1 << 21
+
+# Most bits (the exponent times the coefficient's bit length) an uncapped
+# one-term power may form, as 2^n or (2*u)^n in E: _PAIRS does not see them.
+_BITS = 1 << 16
 
 # Miller-Rabin to the prime bases up to 37 decides primality below this
 # bound, the least strong pseudoprime to all of them (Sorenson and
@@ -325,9 +330,25 @@ class _Kernel:
         return self._canon(out)
 
     def pow(self, f, n):
-        """f^n for a canonical f: start at f, square by sqr (the _pi_sigma folds use mul)."""
+        """f^n for a canonical f: start at f, square by sqr (the _pi_sigma folds use mul).
+
+        Without tail and wrap a one-term f = c*m is c^n*m^n in one step,
+        the key times n as in sigma; uncapped, a power that leaves the
+        packed fields or passes _BITS coefficient bits is refused.
+        """
         if n < 0:
             raise ValueError("negative exponent %d" % n)
+        if len(f) == 1 and n and self.tail is None and self.wrap is None:
+            ((k, c),) = f.items()
+            ts, um = self.layout.ts, self.layout.umask
+            if self.tdeg is None:
+                if (k >> ts) * n > self.layout.tmax or (k & um) * n > um:
+                    raise OverflowError("power exceeds the packed exponent fields")
+                if abs(c) > 1 and abs(c).bit_length() * n > _BITS:
+                    raise OverflowError("power exceeds %d coefficient bits" % _BITS)
+            elif (k >> ts) * n > self.tdeg or (k & um) * n >= self.ucap:
+                return {}
+            return self.norm({k * n: c**n if self.pmod is None else pow(c, n, self.pmod)})
         result = None
         while n:
             if n & 1:
@@ -833,7 +854,7 @@ class SeriesElem(_Elem):
     def __str__(self):
         from . import blocks
 
-        return blocks.render_table(self.coeffs, self.frame.r)
+        return blocks.render_table(self.packed, self.frame.layout)
 
 
 def _is_prime(n):

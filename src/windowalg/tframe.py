@@ -95,14 +95,18 @@ class TElem(_Elem):
     def _key(self):
         return self.level, self.frame
 
-    @property
-    def coeffs(self):
-        lay, e = self.frame.layout, self.frame.e
+    def _vparts(self):
+        """One packed table per power of v: the v^i coefficient at its u-degrees."""
+        um, e = self.frame.layout.umask, self.frame.e
         out = [{} for _ in range(self.level)]
         for k, c in self.packed.items():
-            i = (k & lay.umask) // e
-            out[i][lay.unpack(k - i * e)] = c
-        return tuple(out)
+            i = (k & um) // e
+            out[i][k - i * e] = c
+        return out
+
+    @property
+    def coeffs(self):
+        return tuple(map(self.frame.layout.unpack_table, self._vparts()))
 
     # -- constructors -----------------------------------------------------
 
@@ -193,10 +197,10 @@ class TElem(_Elem):
         from .blocks import render_table
 
         terms = []
-        for i, ci in enumerate(self.coeffs):
+        for i, ci in enumerate(self._vparts()):
             if not ci:
                 continue
-            body = render_table(ci, self.frame.r)
+            body = render_table(ci, self.frame.layout)
             if i == 0:
                 terms.append(body)
             else:

@@ -39,6 +39,42 @@ def mul_oracle(frame, f, g):
     return frame.elem(out)
 
 
+def render_reference(tbl, r):
+    """Canonical rendering of a table keyed by exponent tuples: ascending
+    total degree, within a degree t1 > t2 > ... > u, coefficients as stored."""
+    if not tbl:
+        return "0"
+    terms = []
+    for key in sorted(tbl, key=lambda k: (sum(k), tuple(-x for x in k))):
+        parts = []
+        for i in range(r):
+            if key[i] == 1:
+                parts.append("t%d" % (i + 1))
+            elif key[i] > 1:
+                parts.append("t%d^%d" % (i + 1, key[i]))
+        if key[-1] == 1:
+            parts.append("u")
+        elif key[-1] > 1:
+            parts.append("u^%d" % key[-1])
+        mono, c = "*".join(parts), tbl[key]
+        terms.append(str(c) if not mono else mono if c == 1 else "%d*%s" % (c, mono))
+    return " + ".join(terms)
+
+
+def str_reference(x):
+    """str() of a SeriesElem or TElem, rendered from its tuple-keyed coeffs."""
+    if not isinstance(x, TElem):
+        return render_reference(x.coeffs, x.frame.r)
+    terms = []
+    for i, ci in enumerate(x.coeffs):
+        body = render_reference(ci, x.frame.r)
+        if not ci:
+            continue
+        vpart = "v" if i == 1 else "v^%d" % i
+        terms.append(body if i == 0 else vpart if body == "1" else "(%s)*%s" % (body, vpart))
+    return " + ".join(terms) if terms else "0"
+
+
 def divmod_oracle(tbl, E_tbl, e):
     """Exact integer long division by the u-monic E; no caps applied."""
     rem = dict(tbl)

@@ -9,6 +9,7 @@ import sys
 import time
 from datetime import timedelta
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -518,6 +519,22 @@ def test_exact_parse_of_E_is_bounded(capsys, tmp_path):
     assert out == "parse_error = line 9, col 18: exponent too large\n"
 
 
+def test_exact_one_term_powers_in_E_are_bounded(tmp_path):
+    # one-term powers form no pairs, so only a bound on the bits of c^n stops
+    # them; 2^268435456 once took 2.5 s and 134 MB before "frame = valid"
+    for power, col in (("0*2^4294967295", 17), ("(2*u)^4294967295", 19)):
+        job = FRAME.replace("E = u + 3", "E = u + 3 + %s" % power)
+        path = write(tmp_path, "E.txt", job)
+        proc = subprocess.run(
+            [sys.executable, "-m", "windowalg.cli", "validate", path, "--machine"],
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == "parse_error = line 9, col %d: exponent too large\n" % col
+
+
 def test_every_pinned_cli_job_matches_its_digest(capsys, tmp_path):
     # the benchmark's corpus and pins, loaded by path and only read
     bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -598,14 +615,18 @@ def test_cli_import_leaves_fractions_and_selftest_unloaded():
     assert proc.stdout == "[]\n"
 
 
-def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded(tmp_path):
     code = (
-        "import sys, windowalg.cli; "
-        "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+        "import sys, windowalg.cli; sys.argv[1:] and windowalg.cli.main(sys.argv[1:]); "
+        "print([m for m in ('dataclasses', 'inspect', 'argparse', 'gettext', 'locale') "
+        "if m in sys.modules])"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    # running a command, argv parsing included, loads none of them either
+    solve = write(tmp_path, "s.txt", SOLVE_JOB)
+    for args in ([], ["solve-iso", solve, "--machine"], ["nu", solve]):
+        proc = subprocess.run([sys.executable, "-c", code] + args, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
@@ -618,14 +639,55 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     solve = write(tmp_path, "s.txt", SOLVE_JOB)
     cases = [
         ([], cli),
-        (["display", display, "--machine"], cli | {"window", "witt", "display"}),
-        (["solve-iso", solve, "--machine"], cli | {"window"}),
+        # a [window] block needs windowcore only, not the algorithms of window
+        (["display", display, "--machine"], cli | {"windowcore", "witt", "display"}),
+        (["solve-iso", solve, "--machine"], cli | {"windowcore"}),
     ]
     for args, expected in cases:
         proc = subprocess.run([sys.executable, "-c", code] + args, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         loaded = proc.stdout.splitlines()[-1].split()
         assert loaded == sorted(m if m == "windowalg" else "windowalg." + m for m in expected)
+
+
+def run_argv(args):
+    return subprocess.run(
+        [sys.executable, "-m", "windowalg.cli", *args], capture_output=True, text=True
+    )
+
+
+def test_usage_errors_exit_2_with_usage_on_stderr(tmp_path):
+    job = write(tmp_path, "job.txt", FRAME)
+    cases = [
+        [],
+        ["frobnicate", job],
+        ["nu", job, job],
+        ["nu", job, "--verbose"],
+        ["nu", job, "--mach"],  # no abbreviations
+        ["display", "--machine"],
+    ]
+    for args in cases:
+        proc = run_argv(args)
+        assert proc.returncode == 2, args
+        assert proc.stdout == "", args
+        usage, error = proc.stderr.splitlines()
+        assert usage.startswith("usage: windowalg [-h] [--machine] {display,module,nu,"), args
+        assert error.startswith("windowalg: error: "), args
+    with pytest.raises(SystemExit) as exit_:
+        main(["display"])
+    assert exit_.value.code == 2
+
+
+def test_help_exits_0_and_flags_go_anywhere(capsys, tmp_path):
+    for flag in ("--help", "-h"):
+        proc = run_argv(["nu", flag])
+        assert (proc.returncode, proc.stderr) == (0, ""), flag
+        assert proc.stdout.startswith("usage: windowalg [-h] [--machine] {")
+        assert "--machine   key = value output only" in proc.stdout
+    job = write(tmp_path, "job.txt", FRAME)
+    assert run_cli(capsys, ["--machine", "nu", job]) == (0, "nu = 2\n")
+    assert run_cli(capsys, ["nu", "--machine", job]) == (0, "nu = 2\n")
+    assert run_cli(capsys, ["nu", job]) == (0, "windowalg nu\nnu = 2\n")
 
 
 def test_solve_level_below_one_is_an_error_line(capsys, tmp_path):

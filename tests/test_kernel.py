@@ -22,10 +22,10 @@ from hypothesis import strategies as st
 from windowalg import Frame, FrameMismatchError, TElem, WittVec
 from windowalg import matrices as mx
 from windowalg.blocks import ParseError, parse_poly
-from windowalg.series import MAX_UCAP, SeriesElem, _Kernel, _Layout
+from windowalg.series import _BITS, MAX_UCAP, SeriesElem, _Kernel, _Layout
 from windowalg.witt import _zring
 
-from helpers import divmod_oracle, mul_oracle, newton_inverse, reduce_oracle
+from helpers import divmod_oracle, mul_oracle, newton_inverse, reduce_oracle, str_reference
 
 FRAMES = {
     "r0": Frame.make(3, 0, 2, 3, 5, 4, 2, "u^2 + 3*u + 3"),
@@ -318,6 +318,92 @@ def test_power_is_the_repeated_product(case, n):
         return out
 
     assert _outcome(lambda: ring.pow(f, n)) == _outcome(repeated)
+
+
+def one_term_tables(ring, space, bound):
+    """(ring, a canonical one-term table of it) with its key from space."""
+    term = st.tuples(st.sampled_from(space), st.integers(-bound, bound))
+    return term.map(lambda kc: (ring, ring.pack({kc[0]: kc[1]}))).filter(lambda rf: len(rf[1]) == 1)
+
+
+# One-term tables whose powers reach, and pass, every cap and field: on
+# capped kernels c*m^n vanishes past a cap; uncapped, m^n may leave a
+# 32-bit field and c^n may pass _BITS.
+ONE_TERM_TABLES = st.one_of(
+    *(
+        one_term_tables(f.ring("S", boost), frame_space(f, "S"), f.p ** (f.N + boost + 1))
+        for f in (FRAMES["r0"], FRAMES["r3"], FRAMES["r1-max-ucap"], DENSE_FRAME)
+        for boost in (0, 2)
+    ),
+    *(
+        one_term_tables(UNCAPPED[r], monomials(r, (0, 1, 2, HALF >> 3, HALF), (0, 1, HALF >> 3)), 5)
+        for r in UNCAPPED
+    ),
+    *(one_term_tables(_zring(3, pmod), [(0,)], 3**6) for pmod in (None, 3**4)),
+)
+
+
+def _power_by_mul(ring, f, n):
+    """f^n by square-and-multiply through mul alone, or OverflowError."""
+    out, m = ring.one(), n
+    try:
+        while m:
+            out = ring.mul(out, f) if m & 1 else out
+            m >>= 1
+            f = ring.mul(f, f) if m else f
+    except OverflowError:
+        return OverflowError
+    return out
+
+
+def _one_term_power_agrees(ring, f, n):
+    """pow of a one-term f is its power by mul, but that an uncapped kernel
+    also refuses a c^n of more than _BITS bits."""
+    ((_, c),) = f.items()
+    expected = _power_by_mul(ring, f, n)
+    if ring.tdeg is None and abs(c) > 1 and abs(c).bit_length() * n > _BITS:
+        expected = OverflowError
+    assert _outcome(lambda: ring.pow(f, n)) == expected
+
+
+@PROPS
+@given(ONE_TERM_TABLES, st.one_of(st.integers(0, 12), st.sampled_from([17, 2**15, 2**16 + 1])))
+def test_one_term_power_is_the_repeated_product(case, n):
+    ring, f = case
+    if ring.pmod is None and ring.tdeg is not None:
+        n = min(n, 17)  # exact Witt components: c^n has n times the bits of c
+    _one_term_power_agrees(ring, f, n)
+
+
+def test_one_term_powers_on_both_sides_of_every_cap():
+    s0, s3 = FRAMES["r0"].ring("S"), FRAMES["r3"].ring("S")  # u-cap 6; D = 3
+    for j in range(6):
+        for n in range(8):  # u^(j*n) survives while j*n < 6
+            _one_term_power_agrees(s0, s0.pack({(j,): 2}), n)
+    for key in ((1, 0, 0, 0), (1, 1, 0, 1), (0, 0, 3, 0)):
+        for n in range(5):
+            _one_term_power_agrees(s3, s3.pack({key: 5}), n)
+    wide = UNCAPPED[2]  # fields of 32 bits: exponents up to 2^32 - 1
+    third = ((1 << 32) - 1) // 3
+    for key in ((third, 0, 0), (0, third, 0), (0, 0, third), (1, 0, third)):
+        for n in (3, 4):
+            _one_term_power_agrees(wide, wide.pack({key: 1}), n)
+    for c, n in ((2, _BITS // 2), (2, _BITS // 2 + 1), (-1, (1 << 32) - 1), (3, 5)):
+        _one_term_power_agrees(wide, wide.pack({(0, 0, 1): c}), n)
+    for pmod in (None, 3**4):
+        _one_term_power_agrees(_zring(3, pmod), {0: 7}, 40)
+
+
+@PROPS
+@given(st.data())
+def test_rendering_packed_keys_matches_the_tuple_key_reference(data):
+    f = data.draw(st.sampled_from([*FRAMES.values(), DENSE_FRAME]))
+    for tag in "SR":
+        x = f.elem(data.draw(dense_tables(f)), tag)
+        assert str(x) == str_reference(x)
+    f = data.draw(st.sampled_from([*T_FRAMES, T_LEVEL4]))
+    X = TElem(f, min(f.a, 4), data.draw(dense_t_elements(f, min(f.a, 4), False)))
+    assert str(X) == str_reference(X)
 
 
 @st.composite
