@@ -67,9 +67,9 @@ def str_reference(x):
         return render_reference(x.coeffs, x.frame.r)
     terms = []
     for i, ci in enumerate(x.coeffs):
-        body = render_reference(ci, x.frame.r)
         if not ci:
             continue
+        body = render_reference(ci, x.frame.r)
         vpart = "v" if i == 1 else "v^%d" % i
         terms.append(body if i == 0 else vpart if body == "1" else "(%s)*%s" % (body, vpart))
     return " + ".join(terms) if terms else "0"
