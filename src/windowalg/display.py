@@ -77,9 +77,12 @@ def validate_display(D):
     is) through mx.det_is_unit.  When the display remembers its source
     window, F' = p*F'_1 is verified on the L-block generators: p times
     the stored L-column must equal kappa of sigma(E) times the window
-    column, and the J-columns must be plain kappa-images.  A window
-    entry is known mod p^N, so component n of either side of the
-    L-column identity is compared mod p^min(a, N - n).
+    column, and the J-columns must be plain kappa-images.  A J-entry
+    that is itself kappa of its window entry passes by equality of
+    sources, without a second delta; any other vector is compared with
+    kappa of the window entry component by component.  A window entry
+    is known mod p^N, so component n of either side of the L-column
+    identity is compared mod p^min(a, N - n).
     """
     errors = []
     if not mx.det_is_unit(mx.mmap(D.B, lambda x: x.comps[0]), D.frame.p):

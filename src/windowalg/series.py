@@ -57,6 +57,11 @@ _WIDE = 32
 # E needs, it bounds the time of each product in the exact parse of E.
 _PAIRS = 1 << 21
 
+# Most term pairs times coefficient bits (the longest of each factor, summed)
+# one uncapped product may form: under _PAIRS a few terms may still carry
+# huge coefficients, as in (2^3000 + u)^400.
+_PAIR_BITS = _PAIRS << 6
+
 # Most bits (the exponent times the coefficient's bit length) an uncapped
 # one-term power may form, as 2^n or (2*u)^n in E: _PAIRS does not see them.
 _BITS = 1 << 16
@@ -214,11 +219,15 @@ class _Kernel:
         return self.norm({k: c * n for k, c in f.items()})
 
     def _room(self, f, g):
-        """Refuse a product of uncapped tables that could overflow a field
-        or would form more than _PAIRS term pairs."""
-        if len(f) * len(g) > _PAIRS:
+        """Refuse a product of uncapped tables that could overflow a field,
+        would form more than _PAIRS term pairs or more than _PAIR_BITS pair bits."""
+        pairs = len(f) * len(g)
+        if pairs > _PAIRS:
             raise OverflowError("product exceeds %d term pairs" % _PAIRS)
         if f and g:
+            bits = sum(max(abs(c).bit_length() for c in h.values()) for h in (f, g))
+            if pairs * bits > _PAIR_BITS:
+                raise OverflowError("product exceeds %d pair bits" % _PAIR_BITS)
             lay = self.layout
             um, ts = lay.umask, lay.ts
             top_t = (max(f) >> ts) + (max(g) >> ts)

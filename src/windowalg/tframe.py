@@ -19,9 +19,9 @@ up to the first zero one: Psi is linear and takes v-valuation m to at
 least p*m + p - 1, so iterate k vanishes mod v^(a-1) once p^k > a - 1;
 a nonzero iterate past that bound is a PrecisionError, not a hang.  No
 inverse is taken: A2^(-1)*M is adj(A2)*M divided entry-wise by the unit
-det(A2), and pC^(-1) = blockdiag((v+eps)^(-1) I_d, p I_c) joins that
-division, rows i < d divided by det(A2)*(v + eps) and the others by
-det(A2) and scaled by p (TElem.divide).
+det(A2) (TElem.divide), and pC^(-1)*M*C is formed block by block, as
+E = p(v + eps): p*M on the diagonal blocks, p*E*M on the c x d block,
+and only the d x c block divided by v + eps, joined with det(A2).
 """
 
 from __future__ import annotations
@@ -244,11 +244,6 @@ class TWindow:
         return self.d + self.c
 
 
-def _c_factors(frame, level, d, c):
-    """C = blockdiag(E I_d, I_c) over T_level, as the factors of a scaling."""
-    return [TElem.embed(frame.E, level)] * d + [None] * c
-
-
 def solve_iso(w1, w2, level=None):
     """Unique X in GL(T_level) with A2*C*X = sigma(X)*A1*C and X = I mod v.
 
@@ -256,10 +251,11 @@ def solve_iso(w1, w2, level=None):
     in u^e*S (A2 is invertible: A2^(-1)*A1 = I + u^e*Z), checked before any
     inverse.  T_level -> T_lv, lv = max(level - 1, 1), is a ring map commuting
     with sigma and vY needs Y only mod v^lv, so adj(A2), det(A2), Z and the
-    Psi sum run at lv (A2^(-1)*M is adj*M divided by det, pC^(-1) a row division
-    by v + eps) and vY is a u-shift by e.  The full-level residual of X must be zero.
-    Rows i < d of X are fixed only mod p^(N-1): E*p^(N-1) = 0 in T, and eps, by
-    which those rows are divided, is known only mod p^(N-1).
+    Psi sum run at lv (A2^(-1)*M is adj*M divided by det; of pC^(-1)*M*C only the
+    d x c block divides, by v + eps) and vY is a u-shift by e.  The full-level
+    residual of X must be zero.  Rows i < d of X are fixed only mod p^(N-1):
+    E*p^(N-1) = 0 in T.  eps is known only mod p^(N-1), but p*eps = E - u^e mod
+    p^N whatever its top digit, so E = p(v + eps) holds exactly in T.
     """
     if w1.frame != w2.frame:
         raise FrameMismatchError("windows over different frames")
@@ -286,27 +282,30 @@ def solve_iso(w1, w2, level=None):
     except ValueError:
         raise HypothesisError("A2^(-1)*A1 is not congruent to I modulo u^e") from None
 
-    # adj(A2) into each product first, then n^2 unit divisions by det(A2); pC^(-1) =
-    # blockdiag((v+eps)^(-1) I_d, p I_c) (E = p(v+eps)) divides rows i < d by dj, the
-    # rest by dl if given, and scales them by p: D divides by det over S first, Psi
-    # divides rows i < d once by det*(v+eps) and the rest by det
+    # adj(A2) into each product first, then n^2 unit divisions by det(A2).  E = p(v+eps)
+    # in T, so pC^(-1)*M*C is p*M on the diagonal blocks, p*E*M on the c x d block and
+    # M/(v+eps) on the d x c block.  D divides by det over S first; Psi divides the d x c
+    # block by det*(v+eps) (dc) and the others by det (dd)
     adj = mx.adjugate(A2 := clip(w2.A))
     det = mx.dot(A2[0], [row[0] for row in adj])
     veps = TElem.v(low, lv) + TElem.embed(low.epsilon, lv)
-    adjT, detT, C = emb(adj), TElem.embed(det, lv), _c_factors(low, lv, d, c)
-    A1C = mx.cscale(emb(clip(w1.A)), C)
-    dveps = detT * veps
-    pcinv = lambda M, dj, dl=None: tuple(
-        tuple(x.divide(dj) if i < d else (x if dl is None else x.divide(dl)) * frame.p for x in row)
+    adjT, detT, A1 = emb(adj), TElem.embed(det, lv), emb(clip(w1.A))
+    pE, dveps = TElem.embed(low.E, lv) * frame.p, detT * veps
+    by = lambda x, i, j: x * (pE if j < d <= i else frame.p)  # every block but d x c
+    pcmc = lambda M, dc, dd=None: tuple(
+        tuple(
+            x.divide(dc) if i < d <= j else by(x, i, j) if dd is None else by(x, i, j).divide(dd)
+            for j, x in enumerate(row)
+        )
         for i, row in enumerate(M)
     )
 
-    D = pcinv(mx.cscale(emb(mx.mmap(mx.mmul(adj, W), lambda x: x.divide(det))), C), veps)
+    D = pcmc(emb(mx.mmap(mx.mmul(adj, W), lambda x: x.divide(det))), veps)
     # v * u^(e(p-2)) = p^(p-2) * v^(p-1); on sigma(Y) first, whose terms then sit at
-    # u-degree (p-1)e or more, so the u-cap ends their rows against A1C early
+    # u-degree (p-1)e or more, so the u-cap ends their rows against A1 early
     s = TElem.v(low, lv, frame.p - 1) * pow(frame.p, frame.p - 2, frame.p**frame.N)
     sY = lambda Y: mx.mmap(Y, lambda x: x.sigma() * s)
-    psi = lambda Y: pcinv(mx.mmul(adjT, mx.mmul(sY(Y), A1C)), dveps, detT)
+    psi = lambda Y: pcmc(mx.mmul(adjT, mx.mmul(sY(Y), A1)), dveps, detT)
 
     # iterate k has v-valuation >= p^k - 1, so it vanishes mod v^lv once p^k > lv
     Y, term, k = D, psi(D), 1
@@ -329,7 +328,7 @@ def residual(w1, w2, X, level):
     """A2*C*X - sigma(X)*A1*C over T_level (zero for solver output)."""
     frame = w1.frame
     emb = lambda M: mx.mmap(M, lambda x: TElem.embed(x, level))
-    C = _c_factors(frame, level, w1.d, w1.c)
+    C = [TElem.embed(frame.E, level)] * w1.d + [None] * w1.c  # C = blockdiag(E I_d, I_c)
     lhs = mx.mmul(emb(w2.A), mx.rscale(C, X))
     rhs = mx.mmul(mx.mmap(X, lambda x: x.sigma()), mx.cscale(emb(w1.A), C))
     return mx.msub(lhs, rhs)

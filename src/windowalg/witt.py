@@ -9,7 +9,10 @@ are the values of the universal Witt polynomials; they are computed by
 the exact ghost recursion on canonical lifts at a boosted coefficient
 modulus (one extra p-digit per Witt coordinate), which yields exactly
 the same values as substituting into the symbolic polynomials of
-witt_polys while staying cheap for large (p, L).
+witt_polys while staying cheap for large (p, L).  Each step of the
+recursion sums the ghost and every -p^i*z_i^(p^(n-i)) into one exact
+table, reduces it once and divides it by p^n; ghosts of components are
+summed the same way.
 
 A vector carries its ghost tables at the boosted modulus p^(M+L-1),
 M the exponent of its components: delta, tau and from_int attach
@@ -24,8 +27,10 @@ delta is the ring section with ghost components sigma^n(x); kappa is
 its composite with reduction mod E, and a kappa-image remembers
 (x, length) and fills its components and its ghosts on first read,
 each half once: a display's L-block reads only ghosts and its J-block
-only components.  tau is the unit with p*tau = kappa(sigma(E)), solved
-from its ghosts pi(sigma^(n+1)(E))/p.
+only components.  kappa is a function of (x, length) over one base, so
+two kappa-images with equal sources are equal without filling either;
+any other pair is compared table by table.  tau is the unit with
+p*tau = kappa(sigma(E)), solved from its ghosts pi(sigma^(n+1)(E))/p.
 """
 
 from __future__ import annotations
@@ -41,29 +46,33 @@ def _zring(p, pmod):
     return _Kernel(_Layout(0, 0), p, 0, 1, pmod)
 
 
+def _add_ppow(acc, tables, p, sign):
+    """Add sign*p^i*tables[i] into the exact table acc, in place."""
+    get = acc.get
+    for i, t in enumerate(tables):
+        q = sign * p**i
+        for k, c in t.items():
+            acc[k] = get(k, 0) + q * c
+    return acc
+
+
 def _solve_ghost(ring, ghosts, p):
-    """Components z with w_n(z) = ghosts[n]; divisions are exact."""
-    comps = []
-    pw = []
+    """Components z with w_n(z) = ghosts[n]: ghost n less every p^i*z_i^(p^(n-i))
+    in one exact table, reduced once and divided by p^n exactly."""
+    comps, pw = [], []
     for n, g in enumerate(ghosts):
-        acc = dict(g)
-        for i in range(n):
-            pw[i] = ring.pow(pw[i], p)
-            acc = ring.sub(acc, ring.scal(pw[i], p**i))
-        comps.append(ring.div_exact_ppow(acc, n))
-        pw.append(dict(comps[-1]))
+        pw = [ring.pow(w, p) for w in pw]
+        comps.append(ring.div_exact_ppow(ring.norm(_add_ppow(dict(g), pw, p, -1)), n))
+        pw.append(comps[-1])
     return comps
 
 
 def _ghosts_of(ring, comps, p):
-    """w_0 .. w_{len(comps)-1} of the component tables."""
+    """w_0 .. w_{len(comps)-1} of the component tables, each summed exactly and reduced once."""
     out, pw = [], []
     for c in comps:
         pw = [ring.pow(w, p) for w in pw] + [c]
-        acc = ring.zero()
-        for i, w in enumerate(pw):
-            acc = ring.add(acc, ring.scal(w, p**i))
-        out.append(acc)
+        out.append(ring.norm(_add_ppow({}, pw, p, 1)))
     return out
 
 
@@ -175,7 +184,10 @@ class WittVec:
     def __eq__(self, other):
         if not isinstance(other, WittVec):
             return NotImplemented
-        return self._key() == other._key() and self._tables == other._tables
+        if self._key() != other._key():
+            return False
+        # kappa is a function of (x, length) over one base: equal sources, equal images
+        return self._src is not None and self._src == other._src or self._tables == other._tables
 
     __hash__ = None
 

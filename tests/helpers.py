@@ -350,3 +350,31 @@ def random_solve_pair(rng, frame, d, c, terms=2):
     uZ = mx.mscal(Z, frame.u(frame.e))
     A2 = mx.mmul(w1.A, mx.madd(mx.identity(n, frame.one()), uZ))
     return w1, make_window(frame, d, c, A2)
+
+
+def solve_ghost_reference(ring, ghosts, p):
+    """Components z with w_n(z) = ghosts[n], solved term by term: each
+    p^i*z_i^(p^(n-i)) is scaled and subtracted through the kernel, which
+    normalizes after every step, before the exact division by p^n."""
+    comps, pw = [], []
+    for n, g in enumerate(ghosts):
+        acc = dict(g)
+        for i in range(n):
+            pw[i] = ring.pow(pw[i], p)
+            acc = ring.sub(acc, ring.scal(pw[i], p**i))
+        comps.append(ring.div_exact_ppow(acc, n))
+        pw.append(dict(comps[-1]))
+    return comps
+
+
+def ghosts_of_reference(ring, comps, p):
+    """w_0 .. w_{len(comps)-1} of the component tables, summed term by term
+    through the kernel's scal and add."""
+    out, pw = [], []
+    for c in comps:
+        pw = [ring.pow(w, p) for w in pw] + [c]
+        acc = ring.zero()
+        for i, w in enumerate(pw):
+            acc = ring.add(acc, ring.scal(w, p**i))
+        out.append(acc)
+    return out

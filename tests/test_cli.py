@@ -519,20 +519,32 @@ def test_exact_parse_of_E_is_bounded(capsys, tmp_path):
     assert out == "parse_error = line 9, col 18: exponent too large\n"
 
 
+def _assert_E_term_is_refused_at_once(tmp_path, term, col):
+    """validate, in a child interpreter under a timeout, ends in a parse error
+    at the exponent of term, added to E = u + 3."""
+    path = write(tmp_path, "E.txt", FRAME.replace("E = u + 3", "E = u + 3 + %s" % term))
+    proc = subprocess.run(
+        [sys.executable, "-m", "windowalg.cli", "validate", path, "--machine"],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == "parse_error = line 9, col %d: exponent too large\n" % col
+
+
 def test_exact_one_term_powers_in_E_are_bounded(tmp_path):
     # one-term powers form no pairs, so only a bound on the bits of c^n stops
     # them; 2^268435456 once took 2.5 s and 134 MB before "frame = valid"
     for power, col in (("0*2^4294967295", 17), ("(2*u)^4294967295", 19)):
-        job = FRAME.replace("E = u + 3", "E = u + 3 + %s" % power)
-        path = write(tmp_path, "E.txt", job)
-        proc = subprocess.run(
-            [sys.executable, "-m", "windowalg.cli", "validate", path, "--machine"],
-            capture_output=True,
-            text=True,
-            timeout=20,
-        )
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stdout == "parse_error = line 9, col %d: exponent too large\n" % col
+        _assert_E_term_is_refused_at_once(tmp_path, power, col)
+
+
+def test_exact_powers_of_few_terms_with_huge_coefficients_in_E_are_bounded(tmp_path):
+    # few pairs, huge coefficients: the products are bounded by pairs times
+    # coefficient bits; (2^3000 + u)^200 once took 1.3 s, and the time grew
+    # about 7-fold per doubling of the exponent
+    _assert_E_term_is_refused_at_once(tmp_path, "0*(2^3000 + u)^400", 28)
 
 
 def test_every_pinned_cli_job_matches_its_digest(capsys, tmp_path):

@@ -98,6 +98,20 @@ def _raise_first_component(D, i, j):
     return DDisplay(D.frame, D.d, D.c, B, source=D.source)
 
 
+def test_j_entries_that_are_not_kappa_of_the_window_entry_are_reported():
+    # a J-entry passes by equal kappa sources; kappa of another x and a vector
+    # with one component moved are compared table by table, and both fail
+    f = frame313(L=3)
+    w = random_window(make_rng(411), f, d=1, c=1)
+    D = to_display(w)
+    assert validate_display(D) == []
+    x = D.B[1][0]
+    moved = WittVec("R", x.comps[:-1] + (x.comps[-1] + 1,), frame=f)
+    for i, entry in ((0, kappa(w.A[0][0] + f.one())), (1, moved)):
+        B = [[entry if (k, l) == (i, 0) else y for l, y in enumerate(row)] for k, row in enumerate(D.B)]
+        assert "J-column 1 does not extend F" in validate_display(DDisplay(f, 1, 1, B, source=w))
+
+
 def test_low_precision_windows_are_valid_displays():
     # a window entry is known mod p^N, so component n of the L-column identity
     # holds mod p^min(M, N - n), M = min(a, N); compared on every digit, these

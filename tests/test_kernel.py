@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from windowalg import Frame, FrameMismatchError, TElem, WittVec
 from windowalg import matrices as mx
 from windowalg.blocks import ParseError, parse_poly
-from windowalg.series import _BITS, MAX_UCAP, SeriesElem, _Kernel, _Layout
+from windowalg.series import _BITS, _PAIR_BITS, MAX_UCAP, SeriesElem, _Kernel, _Layout
 from windowalg.witt import _zring
 
 from helpers import divmod_oracle, mul_oracle, newton_inverse, reduce_oracle, str_reference
@@ -200,6 +200,22 @@ def test_keys_on_the_caps():
     corner = g.elem({(1, 1, 1, g.a * g.e - 1): 1})
     assert (corner * corner).is_zero()
     assert corner.frobenius().is_zero()
+
+
+def test_uncapped_products_are_bounded_by_pairs_times_coefficient_bits():
+    # 64 x 64 terms of b bits each form 4096 pairs of 2b bits; the parser's
+    # ring refuses that product from 4096 * 2b > _PAIR_BITS on
+    ring = _Kernel(_Layout(0, None), None, None, None, None)
+    top = _PAIR_BITS // (2 * 4096)
+    for b in (top, top + 1):
+        f = {ring.layout.pack((i,)): -(1 << (b - 1)) for i in range(64)}
+        g = {k: -c for k, c in f.items()}
+        for x, y in ((f, f), (f, g)):
+            out = _outcome(lambda: ring.mul(x, y))
+            if b == top:
+                assert out[ring.layout.pack((63,))] == 64 * x[0] * y[0]
+            else:
+                assert out is OverflowError
 
 
 def test_overflowing_keys_are_refused():

@@ -56,12 +56,23 @@ def test_pn_vn_equals_u_ne():
         assert lhs == rhs
 
 
+# eps = (E - u^e)/p is known only mod p^(N-1): on these frames its top p-digit
+# is a choice (E = u + 30 at N = 3 is u + 3, with eps = 1 against 30/3 = 10)
+TOP_DIGIT_FRAMES = [
+    Frame.make(3, 0, 1, 3, 3, 2, 2, "u + 30"),
+    Frame.make(3, 0, 1, 3, 4, 2, 2, "u + 30"),
+    Frame.make(3, 1, 2, 3, 3, 2, 2, "u^2 + 3*t1*u + 30*(1 + t1)"),
+]
+
+
 def test_E_is_p_times_v_plus_eps():
-    rng = make_rng(501)
-    for f in (frame313(), frame_e2(a=3, N=6)):
-        E_T = TElem.embed(f.E, 3)
-        veps = TElem.v(f, 3) + TElem.embed(f.epsilon, 3)
-        assert E_T == veps * f.p
+    # exactly at every level, whatever eps's top digit: p*eps = E - u^e mod p^N,
+    # so on the solver's d x d block C and pC^(-1) cancel to p
+    for f in (frame313(), frame_e2(), frame_e2(a=3, N=6), *TOP_DIGIT_FRAMES):
+        for level in range(1, f.a + 1):
+            E_T = TElem.embed(f.E, level)
+            for eps in (f.epsilon, f.epsilon + f.p ** (f.N - 1)):
+                assert E_T == (TElem.v(f, level) + TElem.embed(eps, level)) * f.p
 
 
 def test_rewrite_confluence():
@@ -496,20 +507,15 @@ def test_solver_hypothesis_is_checked_before_inverting(monkeypatch):
 
 
 def test_solver_rows_are_exact_whatever_the_top_digit_of_epsilon(monkeypatch):
-    # eps = (E - u^e)/p is known only mod p^(N-1), and the solver divides rows
-    # i < d by v + eps.  On frames where eps's top p-digit is a choice (E = u + 30
-    # at N = 3 is u + 3, with eps = 1 against 30/3 = 10), X has zero residual and
-    # is the reference X.  With that digit moved on every level frame, rows
-    # i >= d stay as they are and rows i < d move by multiples of p^(N-1) only:
-    # E*p^(N-1) = 0, so A2*C*X = sigma(X)*A1*C fixes those rows mod p^(N-1).
-    frames = [
-        Frame.make(3, 0, 1, 3, 3, 2, 2, "u + 30"),
-        Frame.make(3, 0, 1, 3, 4, 2, 2, "u + 30"),
-        Frame.make(3, 1, 2, 3, 3, 2, 2, "u^2 + 3*t1*u + 30*(1 + t1)"),
-    ]
-    for f in frames:
+    # the solver divides the d x c block by v + eps.  On frames where eps's top
+    # p-digit is a choice, X has zero residual and is the reference X.  With that
+    # digit moved on every level frame, rows i >= d stay as they are and rows
+    # i < d move by multiples of p^(N-1) only: E*p^(N-1) = 0, so
+    # A2*C*X = sigma(X)*A1*C fixes those rows mod p^(N-1).
+    # Shapes (3, 0) and (2, 1) give pC^(-1)*M*C a d x d block past 1 x 1.
+    for f in TOP_DIGIT_FRAMES:
         top = f.p ** (f.N - 1)
-        for d, c in ((1, 0), (1, 1), (2, 0), (1, 2)):
+        for d, c in ((1, 0), (1, 1), (2, 0), (1, 2), (3, 0), (2, 1)):
             for seed in (0, 1):
                 w1, w2 = random_solve_pair(make_rng(seed), f, d, c)
                 for level in range(1, f.a + 1):

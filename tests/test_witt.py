@@ -16,10 +16,16 @@ from windowalg import (
     wmul,
     wver,
 )
-from windowalg.witt import _ghosts_of, _zring
+from windowalg.witt import _ghosts_of, _ring_of, _solve_ghost, _zring
 from windowalg.rand import random_frame, random_series
 
-from helpers import frame313, frame_e2, make_rng
+from helpers import (
+    frame313,
+    frame_e2,
+    ghosts_of_reference,
+    make_rng,
+    solve_ghost_reference,
+)
 
 
 def zvec(p, comps):
@@ -68,6 +74,59 @@ def test_universal_polys_ghost_identity(p, length):
     for n in range(length):
         assert gs[n] == ring.add(gx[n], gy[n])
         assert gp[n] == ring.mul(gx[n], gy[n])
+
+
+@pytest.mark.parametrize("p,length", [(3, 3), (5, 2)])
+def test_witt_polys_are_those_of_the_term_by_term_recursion(p, length):
+    tbl = witt_polys(p, length)
+    ring = tbl._ring
+    lay = ring.layout
+    vs = [ring.pack({tuple(int(k == i) for k in range(2 * length + 1)): 1}) for i in range(2 * length)]
+    gx = ghosts_of_reference(ring, vs[:length], p)
+    gy = ghosts_of_reference(ring, vs[length:], p)
+    sums = solve_ghost_reference(ring, [ring.add(a, b) for a, b in zip(gx, gy)], p)
+    prods = solve_ghost_reference(ring, [ring.mul(a, b) for a, b in zip(gx, gy)], p)
+    assert tbl.sum_polys == tuple(map(lay.unpack_table, sums))
+    assert tbl.prod_polys == tuple(map(lay.unpack_table, prods))
+    assert tbl.ghost_x == tuple(map(lay.unpack_table, gx))
+
+
+# p = 3 and 5, with a u-cap and t-caps that keep p-th powers nonzero
+RECURSION_FRAMES = {
+    3: Frame.make(3, 1, 2, 3, 4, 3, 4, "u^2 + 3*t1*u + 3"),
+    5: Frame.make(5, 1, 1, 3, 3, 5, 4, "u + 5*(1 + t1)"),
+}
+
+
+@st.composite
+def ghost_recursion_case(draw):
+    """(ring, p, two lists of L component tables), L <= 4: over Z, exact or
+    mod p^pexp, or over S or R, on the kernel boosted by L - 1 digits."""
+    p, length = draw(st.sampled_from([3, 5])), draw(st.integers(1, 4))
+    tag = draw(st.sampled_from(["Z", "S", "R"]))
+    if tag == "Z":
+        ring = _ring_of(("Z", None, p, draw(st.sampled_from([None, 2, 4]))), length - 1)
+        entry = st.integers(-(p**6), p**6).map(ring.const)
+    else:
+        f = RECURSION_FRAMES[p]
+        ring = f.ring(tag, length - 1)
+        series = lambda seed: random_series(make_rng(seed), f, terms=4, bound=f.p**f.N, tag=tag)
+        entry = st.integers(0, 2**32).map(lambda seed: series(seed).packed)
+    comps = st.lists(entry, min_size=length, max_size=length)
+    return ring, p, draw(comps), draw(comps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ghost_recursion_case())
+def test_one_pass_ghost_recursion_equals_the_term_by_term_one(case):
+    # ghosts of components, and the solves of their sums and products (what
+    # wadd and wmul solve), summed in one table equal the term-by-term loops
+    ring, p, xs, ys = case
+    gx, gy = _ghosts_of(ring, xs, p), _ghosts_of(ring, ys, p)
+    assert gx == ghosts_of_reference(ring, xs, p)
+    assert gy == ghosts_of_reference(ring, ys, p)
+    for ghosts in (gx, [ring.add(a, b) for a, b in zip(gx, gy)], [ring.mul(a, b) for a, b in zip(gx, gy)]):
+        assert _solve_ghost(ring, ghosts, p) == solve_ghost_reference(ring, ghosts, p)
 
 
 def test_arithmetic_matches_symbolic_table():
@@ -557,6 +616,23 @@ def test_threads_reading_one_unfilled_kappa_image_get_equal_values():
             assert results == [expect] * 4
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_kappa_images_of_one_source_are_equal_without_a_delta(monkeypatch):
+    from windowalg import witt
+
+    f = GHOST_FRAMES[0]
+    x = random_series(make_rng(218), f, terms=5, bound=f.p**f.N)
+    calls, solve = [], witt.delta
+    monkeypatch.setattr(witt, "delta", lambda *a: calls.append(a) or solve(*a))
+    images = [kappa(x), kappa(x), kappa(f.elem(x.coeffs)), kappa(x, f.L)]
+    assert all(a == b for a in images for b in images)
+    assert calls == [] and all(v._tabs is None and v._ghosts is None for v in images)
+    # another frame or another length is no equal source; other pairs compare tables
+    g = Frame.make(f.p, f.r, f.e, f.a, f.N, f.D + 1, f.L, dict(f.E_items))
+    assert kappa(x) != kappa(g.elem(x.coeffs)) and calls == []
+    assert kappa(x, 2) != kappa(x, 3) and kappa(x, 3) != kappa(x, 2) and calls
+    assert kappa(x) != kappa(x + f.one()) and kappa(x) == _rebuilt(kappa(x))
 
 
 def test_kappa_of_E_is_verschiebung_of_tau():
